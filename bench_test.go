@@ -805,51 +805,6 @@ func BenchmarkWALAppendInterval(b *testing.B) { benchmarkWALAppend(b, latenttrut
 // round trip.
 func BenchmarkWALAppendAlways(b *testing.B) { benchmarkWALAppend(b, latenttruth.FsyncAlways) }
 
-// BenchmarkRecovery measures a cold server boot against an existing data
-// directory: load the newest checkpoint (a fitted corpus) and replay a
-// 64-batch WAL tail.
-func BenchmarkRecovery(b *testing.B) {
-	dir := b.TempDir()
-	cfg := latenttruth.ServeConfig{
-		LTM:           latenttruth.Config{Iterations: 40},
-		RefitInterval: -1,
-		Durability:    latenttruth.DurabilityConfig{DataDir: dir, Fsync: latenttruth.FsyncNever},
-	}
-	s, err := latenttruth.NewTruthServer(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := walBenchBatch()
-	if _, err := s.Ingest(rows); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := s.Refit(""); err != nil { // writes the checkpoint
-		b.Fatal(err)
-	}
-	for i := 0; i < 64; i++ { // acknowledged tail, never checkpointed
-		if _, err := s.Ingest(rows); err != nil {
-			b.Fatal(err)
-		}
-	}
-	s.Close()
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := latenttruth.NewTruthServer(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rs := r.RecoveryStats()
-		if rs.ColdStart || rs.ReplayedBatches != 64 {
-			b.Fatalf("recovery stats %+v", rs)
-		}
-		b.StopTimer()
-		r.Close()
-		b.StartTimer()
-	}
-}
-
 // --- Streaming query engine over snapshots ---------------------------------
 //
 // All query benches share one ≥10⁶-claim zipfian corpus wrapped in a
@@ -1177,11 +1132,11 @@ func BenchmarkQueryTruthPaginated(b *testing.B) {
 
 // segBenchStore seals a 16-segment corpus (entity-sorted, so each segment
 // owns a disjoint entity range and the zone maps can discriminate) and
-// returns the backend plus a mid-corpus probe entity.
-func segBenchStore(b *testing.B) (latenttruth.StorageBackend, string) {
+// returns the store plus a mid-corpus probe entity.
+func segBenchStore(b *testing.B) (*latenttruth.ClaimStore, string) {
 	b.Helper()
 	const segments, rowsPerSeg = 16, 16_384
-	st := store.NewSegmentBacked(b.TempDir())
+	st := store.New(b.TempDir())
 	n := 0
 	for s := 0; s < segments; s++ {
 		for r := 0; r < rowsPerSeg; r++ {
@@ -1247,15 +1202,15 @@ func BenchmarkSegmentScanSkip(b *testing.B) {
 	}
 }
 
-// BenchmarkRecoverySegments is BenchmarkRecovery on the segment backend:
-// a cold boot reopens the sealed segments (CRC-verified, no CSV parse)
-// and replays only the 64-batch WAL tail.
+// BenchmarkRecoverySegments measures a cold server boot against an
+// existing data directory: reopen the newest checkpoint's sealed segments
+// (each opened and CRC-verified once, then adopted by the claim store) and
+// replay a 64-batch WAL tail.
 func BenchmarkRecoverySegments(b *testing.B) {
 	dir := b.TempDir()
 	cfg := latenttruth.ServeConfig{
 		LTM:           latenttruth.Config{Iterations: 40},
 		RefitInterval: -1,
-		Storage:       latenttruth.StorageSegments,
 		Durability:    latenttruth.DurabilityConfig{DataDir: dir, Fsync: latenttruth.FsyncNever},
 	}
 	s, err := latenttruth.NewTruthServer(cfg)

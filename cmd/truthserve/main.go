@@ -11,7 +11,7 @@
 //	           [-refit-interval 2s] [-full-every 10] [-min-batch 1]
 //	           [-threshold 0.5] [-iterations 100] [-seed 1]
 //	           [-shards 1] [-sync-every 5] [-preload triples.csv]
-//	           [-data-dir state/] [-storage memory|segments]
+//	           [-data-dir state/]
 //	           [-fsync always|interval|never]
 //	           [-fsync-interval 100ms] [-segment-bytes 67108864]
 //	           [-retain-checkpoints 3]
@@ -39,19 +39,18 @@
 // replay). -fsync trades durability against ingest latency: "always"
 // survives power loss, "interval" bounds loss to -fsync-interval, "never"
 // leaves syncing to the OS — all three survive a SIGKILL of the process.
-//
-// With -storage segments (requires -data-dir), checkpoints seal the
-// newly compacted claims into immutable on-disk segments — entity-sorted
-// runs with per-page CRCs, entity zone maps and source bloom filters —
-// instead of rewriting the whole corpus as CSV. Recovery reopens the
-// CRC-verified segments and replays only the short WAL tail, so restart
-// time scales with the tail, not the corpus; entity- and source-scoped
-// reads (GET /claims, dirty refits) skip every segment whose metadata
-// rules it out. Replication primaries must use -storage memory (follower
-// bootstrap ships CSV checkpoints).
+// Each checkpoint seals the newly compacted claims into one immutable
+// on-disk segment — entity-sorted runs with per-page CRCs, entity zone
+// maps and source bloom filters — so checkpoint cost scales with the new
+// rows, not the corpus. Recovery reopens the CRC-verified segments and
+// replays only the short WAL tail, and entity- and source-scoped reads
+// (GET /claims) skip every segment whose metadata rules it out. A data
+// directory written before segments (a triples.csv per checkpoint) is
+// migrated on open: its next checkpoint seals the whole corpus.
 //
 // With -follow, the daemon is a read replica of the given primary: it
-// bootstraps from the primary's newest checkpoint, tails the primary's
+// bootstraps from the primary's newest checkpoint (manifest, quality,
+// posterior and the segment files, each verified before install), tails the primary's
 // WAL over HTTP into its own -data-dir (required), replays the primary's
 // refit schedule, and serves bit-identical /truth, /quality, /records and
 // /stats locally; POST /claims and POST /refit return 503 with the
@@ -134,8 +133,7 @@ func run() error {
 		syncEvery  = flag.Int("sync-every", 0, "shard count-sync interval in sweeps (1 = exact mode, 0 = default)")
 		preload    = flag.String("preload", "", "triples CSV to ingest before serving (optional)")
 
-		dataDir       = flag.String("data-dir", "", "state directory for the WAL and checkpoints (empty = memory-only)")
-		storage       = flag.String("storage", "memory", "claim storage backend: memory (heap rows, CSV checkpoints) or segments (immutable on-disk segments with zone-map/bloom data skipping; requires -data-dir, recovery replays only the WAL tail)")
+		dataDir       = flag.String("data-dir", "", "state directory for the WAL, checkpoints and claim segments (empty = memory-only)")
 		fsync         = flag.String("fsync", "interval", "WAL fsync policy: always, interval or never")
 		fsyncInterval = flag.Duration("fsync-interval", 100*time.Millisecond, "max unsynced time under -fsync interval")
 		segmentBytes  = flag.Int64("segment-bytes", 64<<20, "WAL segment rotation size in bytes")
@@ -205,7 +203,6 @@ func run() error {
 		MinBatch:      *minBatch,
 		Shards:        *shards,
 		SyncEvery:     *syncEvery,
-		Storage: *storage,
 		Durability: latenttruth.DurabilityConfig{
 			DataDir:           *dataDir,
 			Fsync:             latenttruth.FsyncPolicy(*fsync),

@@ -83,11 +83,9 @@ const (
 	// the merged quality counts), which the caller supplies — a sum would
 	// double-count every source claiming in more than one partition.
 	ruleSources
-	// ruleStorage merges the nested storage object: its "kind" string
-	// combines like ruleCommon (a cluster mixing memory and segment
-	// backends reports "mixed"), and every numeric field sums — row,
-	// segment, byte and skip counts are all additive across disjoint
-	// partitions.
+	// ruleStorage merges the nested storage object field by field: every
+	// field is a row, segment, byte or skip count, all additive across
+	// disjoint partitions.
 	ruleStorage
 )
 
@@ -172,25 +170,12 @@ func MergeStats(parts []map[string]any, sources int) (map[string]any, error) {
 					acc = prev.(map[string]any)
 				}
 				for k, sv := range m {
-					cur, found := acc[k]
-					switch val := sv.(type) {
-					case string:
-						if !found {
-							acc[k] = val
-						} else if cs, ok := cur.(string); !ok || cs != val {
-							acc[k] = "mixed"
-						}
-					case float64:
-						if !found {
-							acc[k] = val
-						} else if cf, ok := cur.(float64); ok {
-							acc[k] = cf + val
-						} else {
-							return nil, fmt.Errorf("cluster: /stats storage field %q: partitions disagree on its type", k)
-						}
-					default:
-						return nil, fmt.Errorf("cluster: /stats storage field %q: partition %d sent %T, want string or number", k, pi, sv)
+					val, ok := sv.(float64)
+					if !ok {
+						return nil, fmt.Errorf("cluster: /stats storage field %q: partition %d sent %T, want number", k, pi, sv)
 					}
+					cur, _ := acc[k].(float64)
+					acc[k] = cur + val
 				}
 			default:
 				f, ok := v.(float64)

@@ -107,6 +107,7 @@ func TestStatsMergeRules(t *testing.T) {
 		"encode_failures": 1.0, "entities": 30.0, "sources": 3.0,
 		"facts": 90.0, "claims": 300.0, "positive_claims": 200.0,
 		"negative_claims": 100.0, "labeled": 10.0,
+		"storage": map[string]any{"resident_rows": 300.0, "disk_rows": 280.0, "segments": 4.0},
 	}
 	p1 := map[string]any{
 		"ready": true, "seq": 7.0, "mode": "dirty", "policy": "dirty",
@@ -116,6 +117,7 @@ func TestStatsMergeRules(t *testing.T) {
 		"encode_failures": 0.0, "entities": 25.0, "sources": 3.0,
 		"facts": 70.0, "claims": 250.0, "positive_claims": 180.0,
 		"negative_claims": 70.0, "labeled": 8.0,
+		"storage": map[string]any{"resident_rows": 250.0, "disk_rows": 0.0, "segments": 0.0},
 	}
 	merged, err := MergeStats([]map[string]any{p0, p1}, 4)
 	if err != nil {
@@ -143,6 +145,8 @@ func TestStatsMergeRules(t *testing.T) {
 		"positive_claims": 380.0,   // SUM
 		"negative_claims": 170.0,   // SUM
 		"labeled":         18.0,    // SUM
+		// STORAGE: every nested count sums across disjoint partitions.
+		"storage": map[string]any{"resident_rows": 550.0, "disk_rows": 280.0, "segments": 4.0},
 	}
 	if !reflect.DeepEqual(merged, want) {
 		for f, w := range want {
@@ -199,6 +203,8 @@ func TestStatsMergeRejectsWrongTypes(t *testing.T) {
 		"ready":  "yes",  // ruleAnd wants bool
 		"mode":   1.0,    // ruleCommon wants string
 		"claims": "many", // ruleSum wants number
+		// ruleStorage wants an object of numbers only.
+		"storage": map[string]any{"kind": "segments"},
 	} {
 		if _, err := MergeStats([]map[string]any{{field: v}}, -1); err == nil {
 			t.Fatalf("field %q with %T value must error", field, v)

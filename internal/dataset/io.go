@@ -50,8 +50,8 @@ func WriteTriples(w io.Writer, db *model.RawDB) error {
 	return WriteTriplesRows(w, db.Rows())
 }
 
-// WriteTriplesRows is WriteTriples over a bare row slice, for storage
-// backends that hold rows outside a RawDB.
+// WriteTriplesRows is WriteTriples over a bare row slice, for stores that
+// hold rows outside a RawDB.
 func WriteTriplesRows(w io.Writer, rows []model.Row) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(TriplesHeader); err != nil {

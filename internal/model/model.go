@@ -160,8 +160,8 @@ func (d *Dataset) LabeledFacts() []int {
 // claiming sources in source-id order.
 func Build(db *RawDB) *Dataset { return BuildRows(db.Rows()) }
 
-// BuildRows is Build over a bare row slice, for storage backends that hold
-// rows outside a RawDB. Rows must be duplicate-free and in insertion order:
+// BuildRows is Build over a bare row slice, for stores that hold rows
+// outside a RawDB. Rows must be duplicate-free and in insertion order:
 // ids are assigned by first appearance, so the same rows in the same order
 // always derive the identical dataset regardless of where they were held.
 func BuildRows(rows []Row) *Dataset {

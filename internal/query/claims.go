@@ -26,13 +26,13 @@ type ClaimsOptions struct {
 // ScanClaims executes a raw-claims query against rd with predicate
 // pushdown: an entity filter becomes a point scan, a prefix filter
 // becomes a range scan bounded by PrefixUpper, and a bare source filter
-// becomes a source scan — on a segment-backed reader each of those
-// consults the per-segment zone maps and bloom filters, so segments (and
-// pages) that cannot contain a match are never read. Results are
-// returned in (entity, attribute, source) order, which is a total order
-// over the de-duplicated corpus and therefore identical across backends
-// regardless of their physical scan order.
-func ScanClaims(rd store.Reader, opts ClaimsOptions) ([]model.Row, error) {
+// becomes a source scan — over sealed rows each of those consults the
+// per-segment zone maps and bloom filters, so segments (and pages) that
+// cannot contain a match are never read. Results are returned in
+// (entity, attribute, source) order, which is a total order over the
+// de-duplicated corpus and therefore independent of how much of it is
+// sealed and of the physical scan order.
+func ScanClaims(rd *store.View, opts ClaimsOptions) ([]model.Row, error) {
 	if opts.Entity != "" && opts.Prefix != "" {
 		return nil, fmt.Errorf("query: entity and prefix are mutually exclusive")
 	}

@@ -9,10 +9,11 @@ import (
 	"latenttruth/internal/store"
 )
 
-// claimBackends returns the same small corpus behind both backend kinds,
-// with the segment backend split across two sealed segments plus an
-// unsealed heap tail, so scans cross every residency boundary.
-func claimBackends(t *testing.T) map[string]store.Backend {
+// claimBackends returns the same small corpus in a directory-less store
+// ("memory": heap rows only) and in a sealing store ("segments": two
+// sealed segments plus an unsealed heap tail), so scans cross every
+// residency boundary.
+func claimBackends(t *testing.T) map[string]*store.Claims {
 	t.Helper()
 	rows := []model.Row{
 		{Entity: "apple", Attribute: "red", Source: "s1"},
@@ -22,11 +23,11 @@ func claimBackends(t *testing.T) map[string]store.Backend {
 		{Entity: "date", Attribute: "brown", Source: "s2"},
 		{Entity: "elder", Attribute: "black", Source: "s3"},
 	}
-	mem := store.NewMemory()
+	mem := store.New("")
 	for _, r := range rows {
 		mem.AddRow(r)
 	}
-	seg := store.NewSegmentBacked(t.TempDir())
+	seg := store.New(t.TempDir())
 	for i, r := range rows {
 		seg.AddRow(r)
 		if i == 1 || i == 3 { // seal after apple rows, then after cherry
@@ -35,7 +36,7 @@ func claimBackends(t *testing.T) map[string]store.Backend {
 			}
 		}
 	}
-	return map[string]store.Backend{"memory": mem, "segments": seg}
+	return map[string]*store.Claims{"memory": mem, "segments": seg}
 }
 
 func TestScanClaims(t *testing.T) {
@@ -92,7 +93,7 @@ func TestScanClaims(t *testing.T) {
 }
 
 func TestScanClaimsRejectsBadOptions(t *testing.T) {
-	rd := store.NewMemory().Reader()
+	rd := store.New("").Reader()
 	if _, err := ScanClaims(rd, ClaimsOptions{Entity: "a", Prefix: "b"}); err == nil {
 		t.Fatal("entity+prefix accepted")
 	}
@@ -123,7 +124,7 @@ func TestPrefixUpper(t *testing.T) {
 var sinkRows []model.Row
 
 func BenchmarkScanClaimsEntity(b *testing.B) {
-	seg := store.NewSegmentBacked(b.TempDir())
+	seg := store.New(b.TempDir())
 	for i := 0; i < 50_000; i++ {
 		seg.AddRow(model.Row{
 			Entity:    fmt.Sprintf("e%05d", i%10_000),

@@ -59,12 +59,13 @@ func (c *client) endpoint(path string, query url.Values) string {
 
 // checkpointBundle is a downloaded checkpoint, CRC-verified and ready to
 // install. posterior is nil when the primary's checkpoint predates
-// snapshot restoration (manifest PosteriorCRC zero).
+// snapshot restoration (manifest PosteriorCRC zero); segments holds the
+// verbatim segment files, aligned with manifest.Segments.
 type checkpointBundle struct {
 	manifest  wal.Manifest
-	triples   []byte
 	quality   []byte
 	posterior []byte
+	segments  [][]byte
 }
 
 // fetchCheckpoint downloads and verifies the primary's newest checkpoint.
@@ -106,8 +107,7 @@ func (c *client) fetchCheckpoint(ctx context.Context) (*checkpointBundle, error)
 		parts[p.FileName()] = data
 	}
 
-	b := &checkpointBundle{triples: parts["triples.csv"], quality: parts["quality.csv"],
-		posterior: parts[wal.PosteriorName]}
+	b := &checkpointBundle{quality: parts["quality.csv"], posterior: parts[wal.PosteriorName]}
 	raw, ok := parts["MANIFEST.json"]
 	if !ok {
 		return nil, fmt.Errorf("replica: checkpoint stream is missing MANIFEST.json")
@@ -115,12 +115,17 @@ func (c *client) fetchCheckpoint(ctx context.Context) (*checkpointBundle, error)
 	if err := json.Unmarshal(raw, &b.manifest); err != nil {
 		return nil, fmt.Errorf("replica: checkpoint manifest: %w", err)
 	}
-	// Verify before installing: a truncated or corrupted transfer must
-	// never become local state.
-	castagnoli := crc32.MakeTable(crc32.Castagnoli)
-	if got := crc32.Checksum(b.triples, castagnoli); got != b.manifest.TriplesCRC {
-		return nil, fmt.Errorf("replica: checkpoint triples CRC %08x, manifest says %08x", got, b.manifest.TriplesCRC)
+	if b.manifest.Legacy() {
+		return nil, fmt.Errorf("replica: the primary's newest checkpoint (seq %d) is in the legacy triples.csv format, which followers cannot bootstrap from; "+
+			"it is migrated to segments at the primary's next checkpoint — refit the primary, then start the follower again", b.manifest.Seq)
 	}
+	// Verify before installing: a truncated or corrupted transfer must
+	// never become local state. Segment files are checked against their
+	// refs when installed (size and footer CRC first, then every page).
+	if _, err := b.manifest.SegmentRows(); err != nil {
+		return nil, fmt.Errorf("replica: checkpoint manifest: %w", err)
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	if got := crc32.Checksum(b.quality, castagnoli); got != b.manifest.QualityCRC {
 		return nil, fmt.Errorf("replica: checkpoint quality CRC %08x, manifest says %08x", got, b.manifest.QualityCRC)
 	}
@@ -134,6 +139,13 @@ func (c *client) fetchCheckpoint(ctx context.Context) (*checkpointBundle, error)
 		}
 	} else {
 		b.posterior = nil // an unexpected part is not installed unverified
+	}
+	for _, ref := range b.manifest.Segments {
+		data, ok := parts[ref.Filename()]
+		if !ok {
+			return nil, fmt.Errorf("replica: checkpoint stream is missing segment %s", ref.Filename())
+		}
+		b.segments = append(b.segments, data)
 	}
 	return b, nil
 }

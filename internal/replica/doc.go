@@ -1,7 +1,9 @@
 // Package replica turns the truth-serving daemon into a horizontally
 // scalable read fleet: a follower bootstraps from a primary's newest
-// checkpoint (GET /replication/checkpoint, CRC-verified against the
-// manifest) and then tails the primary's write-ahead log over HTTP
+// checkpoint (GET /replication/checkpoint: the manifest, quality and
+// posterior files plus every segment file the manifest lists, each
+// CRC-verified against the manifest before the checkpoint is installed)
+// and then tails the primary's write-ahead log over HTTP
 // (GET /replication/wal, a long-poll streaming the WAL's own CRC32C
 // record framing), mirroring every record — claim batches and refit
 // markers alike — into its own durable log before applying it.

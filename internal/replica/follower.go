@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"latenttruth/internal/obs"
+	"latenttruth/internal/segment"
 	"latenttruth/internal/serve"
 	"latenttruth/internal/wal"
 )
@@ -220,11 +221,33 @@ func followerID(dataDir, configured string) (string, error) {
 	return id, nil
 }
 
-// installCheckpoint writes a verified bundle into the data directory's
-// checkpoint store, preserving the primary's manifest (sequence, WAL
-// coverage, counters, config hash and policy state) so recovery restores
-// the primary's exact post-checkpoint state.
-func installCheckpoint(dataDir string, b *checkpointBundle) error {
+// installCheckpoint installs a verified bundle into the data directory:
+// every segment file goes under segments/ — checked against its ref for
+// size and footer CRC, written, then opened to CRC-check every page — and
+// only then is the checkpoint written, preserving the primary's manifest
+// (sequence, WAL coverage, segment refs, counters, config hash and policy
+// state) so recovery restores the primary's exact post-checkpoint state.
+// On failure the segment files it wrote are removed again, so a refused
+// bundle leaves nothing installed.
+func installCheckpoint(dataDir string, b *checkpointBundle) (err error) {
+	segDir := wal.SegmentDir(dataDir)
+	if err := os.MkdirAll(segDir, 0o755); err != nil {
+		return fmt.Errorf("replica: %w", err)
+	}
+	var installed []string
+	defer func() {
+		if err != nil {
+			for _, name := range installed {
+				os.Remove(filepath.Join(segDir, name))
+			}
+		}
+	}()
+	for i, ref := range b.manifest.Segments {
+		if err := segment.Install(segDir, ref, b.segments[i]); err != nil {
+			return fmt.Errorf("replica: installing checkpoint seq=%d: %w", b.manifest.Seq, err)
+		}
+		installed = append(installed, ref.Filename())
+	}
 	st, err := wal.OpenStore(wal.CheckpointDir(dataDir))
 	if err != nil {
 		return err
@@ -234,7 +257,6 @@ func installCheckpoint(dataDir string, b *checkpointBundle) error {
 		posterior = func(w io.Writer) error { _, werr := w.Write(b.posterior); return werr }
 	}
 	return st.Write(b.manifest,
-		func(w io.Writer) error { _, werr := w.Write(b.triples); return werr },
 		func(w io.Writer) error { _, werr := w.Write(b.quality); return werr },
 		posterior)
 }
@@ -397,10 +419,11 @@ func (f *Follower) loop() {
 // rebootstrap replaces the follower's local state with the primary's
 // newest checkpoint after the needed log history was truncated away. The
 // checkpoint is downloaded before anything local is touched, and the old
-// state directories are staged aside — not deleted — until the
-// replacement server is up, so a failure part-way (disk full, transient
-// I/O) restores the previous state instead of leaving a closed server
-// published over a wiped directory. The swap is atomic for clients of
+// state directories (log, checkpoints and segments) are staged aside —
+// not deleted — until the replacement server is up, so a failure part-way
+// (a corrupt segment, disk full, transient I/O) restores the previous
+// state instead of leaving a closed server published over a wiped
+// directory. The swap is atomic for clients of
 // Handler.
 func (f *Follower) rebootstrap() error {
 	bundle, err := f.client.fetchCheckpoint(f.ctx)
@@ -408,7 +431,7 @@ func (f *Follower) rebootstrap() error {
 		return err
 	}
 	dataDir := f.cfg.Serve.Durability.DataDir
-	dirs := []string{wal.LogDir(dataDir), wal.CheckpointDir(dataDir)}
+	dirs := []string{wal.LogDir(dataDir), wal.CheckpointDir(dataDir), wal.SegmentDir(dataDir)}
 	stage := func(dir string) string { return dir + ".pre-rebootstrap" }
 
 	f.Server().Close() // release the WAL before touching its files

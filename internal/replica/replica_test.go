@@ -1,9 +1,22 @@
 package replica
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"log"
+	"mime"
+	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -294,11 +307,36 @@ func TestFollowerEvictionRebootstraps(t *testing.T) {
 		t.Skipf("history was not truncated (first_seq=%d)", first)
 	}
 
-	f2, err := Start(followerConfig(ts.URL, folDir))
+	// The first re-bootstrap attempt fails at install: one of the shipped
+	// segment files has a flipped page byte (footer intact), so it passes
+	// the size and footer-CRC check, is written, and fails the page CRC
+	// check on open. The previous state must come back and keep serving.
+	restorePrimary := corruptFile(t, newestSegment(t, primDir), 0)
+	var logs logBuffer
+	fcfg := followerConfig(ts.URL, folDir)
+	fcfg.RetryBackoff = 500 * time.Millisecond
+	fcfg.Logger = log.New(&logs, "", 0)
+	f2, err := Start(fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f2.Close()
+	waitFor(t, "failed re-bootstrap", func() bool { return strings.Contains(logs.String(), "re-bootstrap:") })
+	if !strings.Contains(logs.String(), "CRC mismatch") {
+		t.Fatalf("re-bootstrap failed for the wrong reason:\n%s", logs.String())
+	}
+	if st := f2.Stats(); st.Rebootstraps != 0 {
+		t.Fatalf("a failed re-bootstrap was counted: %+v", st)
+	}
+	if sn := f2.Server().Snapshot(); sn == nil || sn.Seq != want.Seq {
+		t.Fatalf("previous state is not serving after the failed install (snapshot %v)", sn)
+	}
+	// The restored state reopened into a live server (a closed one reports
+	// shutdown before the follower check).
+	if _, err := f2.Server().Ingest(batchRows(0)); !errors.Is(err, serve.ErrFollower) {
+		t.Fatalf("server after the failed install: %v\n%s", err, logs.String())
+	}
+	restorePrimary()
 	waitFor(t, "re-bootstrap after eviction", func() bool { return f2.Stats().Rebootstraps >= 1 })
 	// The re-bootstrapped follower serves the checkpoint state right away
 	// and replays the primary's next refit bit-identically.
@@ -343,3 +381,241 @@ func TestStartValidation(t *testing.T) {
 		t.Fatal("bogus primary URL accepted")
 	}
 }
+
+// logBuffer is a goroutine-safe log sink for asserting on follower logs.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *logBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// newestSegment returns the path of the highest-id segment file in a data
+// directory.
+func newestSegment(t *testing.T, dataDir string) string {
+	t.Helper()
+	matches, err := filepath.Glob(filepath.Join(wal.SegmentDir(dataDir), "seg-*.seg"))
+	if err != nil || len(matches) == 0 {
+		t.Fatalf("no segment files in %s (err=%v)", dataDir, err)
+	}
+	sort.Strings(matches)
+	return matches[len(matches)-1]
+}
+
+// corruptFile flips one bit at offset off (negative counts from the end)
+// and returns a func that restores the original bytes. Both writes replace
+// the file through a rename, so a server that has the old file mapped
+// keeps reading the old bytes while new opens see the change.
+func corruptFile(t *testing.T, path string, off int) (restore func()) {
+	t.Helper()
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replace := func(data []byte) {
+		if err := os.WriteFile(path+".swap", data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(path+".swap", path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := append([]byte(nil), orig...)
+	if off < 0 {
+		off += len(bad)
+	}
+	bad[off] ^= 0x40
+	replace(bad)
+	return func() { replace(orig) }
+}
+
+// getBody fetches url and returns its 200 body.
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, body)
+	}
+	return body
+}
+
+// TestFollowerBootstrapsFromSegments is the bootstrap acceptance scenario
+// on the one storage format: a cold follower installs the primary's
+// segment files verbatim (byte-identical on disk), serves from them, and
+// once it replays the primary's next refit its /truth is byte-identical to
+// the primary's apart from fitted_at.
+func TestFollowerBootstrapsFromSegments(t *testing.T) {
+	primDir := t.TempDir()
+	prim, ts := newPrimary(t, primDir)
+	ingestRefit(t, prim, 0)
+	ingestRefit(t, prim, 1)
+
+	folDir := t.TempDir()
+	f, err := Start(followerConfig(ts.URL, folDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if st := f.Stats(); !st.Bootstrapped {
+		t.Fatalf("cold follower did not bootstrap: %+v", st)
+	}
+	primSegs, _ := filepath.Glob(filepath.Join(wal.SegmentDir(primDir), "seg-*.seg"))
+	if len(primSegs) != 2 {
+		t.Fatalf("primary has %d segment files, want 2", len(primSegs))
+	}
+	for _, p := range primSegs {
+		want, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(wal.SegmentDir(folDir), filepath.Base(p)))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("follower copy of %s differs (err=%v)", filepath.Base(p), err)
+		}
+	}
+	fts := httptest.NewServer(f.Handler())
+	defer fts.Close()
+	diskRows := func(url string) int {
+		var stats struct {
+			Storage struct {
+				OnDisk int `json:"disk_rows"`
+			} `json:"storage"`
+		}
+		if err := json.Unmarshal(getBody(t, url+"/stats"), &stats); err != nil {
+			t.Fatal(err)
+		}
+		return stats.Storage.OnDisk
+	}
+	if got, want := diskRows(fts.URL), diskRows(ts.URL); got != want || got == 0 {
+		t.Fatalf("follower disk_rows %d, primary %d", got, want)
+	}
+
+	// fitted_at is the publication wall clock, the one field that cannot
+	// match; every other byte must.
+	fittedAt := regexp.MustCompile(`"fitted_at":"[^"]*"`)
+	truth := func(url string) []byte { return fittedAt.ReplaceAll(getBody(t, url+"/truth"), nil) }
+	want := ingestRefit(t, prim, 2)
+	waitSnapshotSeq(t, f, want.Seq)
+	if got, want := truth(fts.URL), truth(ts.URL); !bytes.Equal(got, want) {
+		t.Fatalf("follower /truth differs from the primary's:\nfollower: %s\nprimary:  %s", got, want)
+	}
+}
+
+// tamperedPrimary serves a real primary's /replication/checkpoint with
+// its parts rewritten by tamper — what a corrupting disk or link, or a
+// primary in an unexpected format, would ship.
+func tamperedPrimary(t *testing.T, primary string, tamper func(m *wal.Manifest, parts map[string][]byte)) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		resp, err := http.Get(primary + r.URL.RequestURI())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		_, params, _ := mime.ParseMediaType(resp.Header.Get("Content-Type"))
+		parts := map[string][]byte{}
+		mr := multipart.NewReader(resp.Body, params["boundary"])
+		for {
+			p, err := mr.NextPart()
+			if err != nil {
+				break
+			}
+			parts[p.FileName()], _ = io.ReadAll(p)
+		}
+		var m wal.Manifest
+		json.Unmarshal(parts["MANIFEST.json"], &m)
+		tamper(&m, parts)
+		parts["MANIFEST.json"], _ = json.Marshal(m)
+		mw := multipart.NewWriter(w)
+		w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
+		for name, data := range parts {
+			pw, _ := mw.CreateFormFile("f", name)
+			pw.Write(data)
+		}
+		mw.Close()
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestFollowerRefusesBadCheckpoint ships a cold follower a checkpoint
+// damaged in each way bootstrap guards against: a flipped page byte
+// (caught only by the page-CRC check on open, after the file is written),
+// a flipped footer byte and a truncated file (caught by the size/footer
+// check before anything is written), a missing segment file, a manifest
+// whose segments leave a coverage gap, and a manifest in the format from
+// before segments. Each must refuse loudly and leave no checkpoint and no
+// segment file behind.
+func TestFollowerRefusesBadCheckpoint(t *testing.T) {
+	prim, ts := newPrimary(t, t.TempDir())
+	ingestRefit(t, prim, 0)
+	ingestRefit(t, prim, 1)
+	flip := func(off int) func(*wal.Manifest, map[string][]byte) {
+		return func(m *wal.Manifest, parts map[string][]byte) {
+			name := m.Segments[len(m.Segments)-1].Filename()
+			seg := append([]byte(nil), parts[name]...)
+			if off < 0 {
+				off += len(seg)
+			}
+			seg[off] ^= 0x40
+			parts[name] = seg
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		tamper     func(*wal.Manifest, map[string][]byte)
+	}{
+		{"page", "page 0 CRC mismatch", flip(0)},
+		{"footer", "footer CRC mismatch", flip(-trailerLen - 2)},
+		{"truncated", "manifest says", func(m *wal.Manifest, parts map[string][]byte) {
+			name := m.Segments[0].Filename()
+			parts[name] = parts[name][:len(parts[name])-1]
+		}},
+		{"missing_file", "missing segment", func(m *wal.Manifest, parts map[string][]byte) {
+			delete(parts, m.Segments[1].Filename())
+		}},
+		{"coverage_gap", "coverage gap", func(m *wal.Manifest, parts map[string][]byte) {
+			m.Segments = m.Segments[1:]
+		}},
+		{"legacy_primary", "legacy triples.csv", func(m *wal.Manifest, parts map[string][]byte) {
+			parts["triples.csv"] = []byte("entity,attribute,source\ne,a,s\n")
+			m.TriplesCRC, m.Segments = 0x12345678, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			folDir := t.TempDir()
+			bad := tamperedPrimary(t, ts.URL, tc.tamper)
+			if _, err := Start(followerConfig(bad.URL, folDir)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("bootstrap from a %s checkpoint: %v (want %q)", tc.name, err, tc.want)
+			}
+			for _, dir := range []string{wal.CheckpointDir(folDir), wal.SegmentDir(folDir)} {
+				if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+					t.Fatalf("refused bootstrap left %d entries in %s", len(entries), dir)
+				}
+			}
+		})
+	}
+}
+
+// trailerLen is the segment trailer size (footer length, footer CRC,
+// magic): an offset just before it lands inside the footer.
+const trailerLen = 16

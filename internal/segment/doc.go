@@ -1,5 +1,6 @@
-// Package segment implements the immutable on-disk claim segment format
-// behind the store.Backend segment storage kind.
+// Package segment implements the immutable on-disk claim segment format:
+// the one durable corpus format, sealed by the claim store at checkpoint
+// time and shipped verbatim to bootstrapping replication followers.
 //
 // A segment holds a contiguous global-index range of raw triples, re-sorted
 // by entity name into pages of entity runs. Each page carries a CRC32C

@@ -7,7 +7,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 
 	"latenttruth/internal/model"
 )
@@ -85,11 +86,41 @@ func Write(dir string, id uint64, firstRow int, rows []model.Row) (Ref, error) {
 	if len(rows) == 0 {
 		return Ref{}, fmt.Errorf("segment: refusing to seal empty segment %d", id)
 	}
+	// Stable re-sort by entity as a counting sort: number the distinct
+	// entities, sort only their names, and place each row in its entity's
+	// run in insertion order. Rows are never compared with each other, so
+	// a seal costs O(rows + entities·log entities) string work.
+	ord := make(map[string]int)
+	var names []string
+	rowEnt := make([]int, len(rows))
+	for i, r := range rows {
+		e, ok := ord[r.Entity]
+		if !ok {
+			e = len(names)
+			ord[r.Entity] = e
+			names = append(names, r.Entity)
+		}
+		rowEnt[i] = e
+	}
+	byName := make([]int, len(names))
+	for e := range byName {
+		byName[e] = e
+	}
+	slices.SortFunc(byName, func(a, b int) int { return strings.Compare(names[a], names[b]) })
+	runStart := make([]int, len(names))
+	for _, e := range rowEnt {
+		runStart[e]++
+	}
+	off := 0
+	for _, e := range byName {
+		off, runStart[e] = off+runStart[e], off
+	}
 	idx := make([]indexedRow, len(rows))
 	for i, r := range rows {
-		idx[i] = indexedRow{global: firstRow + i, row: r}
+		e := rowEnt[i]
+		idx[runStart[e]] = indexedRow{global: firstRow + i, row: r}
+		runStart[e]++
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return idx[a].row.Entity < idx[b].row.Entity })
 
 	ft := footer{
 		Format:    formatVersion,
@@ -98,26 +129,16 @@ func Write(dir string, id uint64, firstRow int, rows []model.Row) (Ref, error) {
 		FirstRow:  firstRow,
 		MinEntity: idx[0].row.Entity,
 		MaxEntity: idx[len(idx)-1].row.Entity,
+		Entities:  newBloom(len(names)),
 	}
-	// Distinct-key counts size the blooms; entities come from run
-	// boundaries of the sorted order, sources need a set.
-	entities := 1
-	for i := 1; i < len(idx); i++ {
-		if idx[i].row.Entity != idx[i-1].row.Entity {
-			entities++
-		}
+	for _, name := range names {
+		ft.Entities.Add(name)
 	}
 	srcSet := make(map[string]struct{})
 	for _, r := range rows {
 		srcSet[r.Source] = struct{}{}
 	}
-	ft.Entities = newBloom(entities)
 	ft.Sources = newBloom(len(srcSet))
-	for i, ir := range idx {
-		if i == 0 || ir.row.Entity != idx[i-1].row.Entity {
-			ft.Entities.Add(ir.row.Entity)
-		}
-	}
 	for s := range srcSet {
 		ft.Sources.Add(s)
 	}
@@ -188,37 +209,77 @@ func Write(dir string, id uint64, firstRow int, rows []model.Row) (Ref, error) {
 		CRC:      ftCRC,
 	}
 
-	final := filepath.Join(dir, ref.Filename())
+	if err := publish(dir, ref.Filename(), body, ftJSON, trailer[:]); err != nil {
+		return Ref{}, err
+	}
+	return ref, nil
+}
+
+// publish writes parts as dir/name through a temp file that is fsynced
+// and renamed into place (then the directory is synced), so a crash never
+// leaves a partial segment under a valid name and an orphan of the same
+// name is replaced, never appended to.
+func publish(dir, name string, parts ...[]byte) error {
+	final := filepath.Join(dir, name)
 	tmp := final + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return Ref{}, fmt.Errorf("segment: creating %s: %w", tmp, err)
+		return fmt.Errorf("segment: creating %s: %w", tmp, err)
 	}
-	for _, b := range [][]byte{body, ftJSON, trailer[:]} {
+	for _, b := range parts {
 		if _, err := f.Write(b); err != nil {
 			f.Close()
 			os.Remove(tmp)
-			return Ref{}, fmt.Errorf("segment: writing %s: %w", tmp, err)
+			return fmt.Errorf("segment: writing %s: %w", tmp, err)
 		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return Ref{}, fmt.Errorf("segment: syncing %s: %w", tmp, err)
+		return fmt.Errorf("segment: syncing %s: %w", tmp, err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return Ref{}, fmt.Errorf("segment: closing %s: %w", tmp, err)
+		return fmt.Errorf("segment: closing %s: %w", tmp, err)
 	}
 	if err := os.Rename(tmp, final); err != nil {
 		os.Remove(tmp)
-		return Ref{}, fmt.Errorf("segment: publishing %s: %w", final, err)
+		return fmt.Errorf("segment: publishing %s: %w", final, err)
 	}
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
 	}
-	return ref, nil
+	return nil
+}
+
+// Install places a segment image received verbatim from elsewhere (a
+// replication primary) into dir and verifies it. The image's size and
+// footer CRC are checked against ref before anything is written; the
+// installed file is then opened, which CRC-checks every page and the
+// footer identity, and removed again if that fails. On success the file
+// is exactly what Write would have produced for ref.
+func Install(dir string, ref Ref, data []byte) error {
+	name := ref.Filename()
+	if int64(len(data)) != ref.Bytes {
+		return fmt.Errorf("segment: %s is %d bytes, manifest says %d", name, len(data), ref.Bytes)
+	}
+	_, crc, err := footerOf(data, name)
+	if err != nil {
+		return err
+	}
+	if crc != ref.CRC {
+		return fmt.Errorf("segment: %s footer CRC %08x does not match manifest %08x", name, crc, ref.CRC)
+	}
+	if err := publish(dir, name, data); err != nil {
+		return err
+	}
+	s, err := Open(dir, ref)
+	if err != nil {
+		os.Remove(filepath.Join(dir, name))
+		return err
+	}
+	return s.Close()
 }
 
 // Segment is an open, fully verified segment. All reads go through the
@@ -264,24 +325,35 @@ func Open(dir string, ref Ref) (*Segment, error) {
 	return s, nil
 }
 
-func (s *Segment) verify(path string) error {
-	if len(s.data) < trailerLen {
-		return fmt.Errorf("segment: %s truncated: %d bytes", path, len(s.data))
+// footerOf checks a segment image's trailer (magic, footer bounds, footer
+// CRC) and returns the footer bytes with their CRC.
+func footerOf(data []byte, path string) ([]byte, uint32, error) {
+	if len(data) < trailerLen {
+		return nil, 0, fmt.Errorf("segment: %s truncated: %d bytes", path, len(data))
 	}
-	tr := s.data[len(s.data)-trailerLen:]
+	tr := data[len(data)-trailerLen:]
 	if string(tr[8:]) != Magic {
-		return fmt.Errorf("segment: %s has bad magic %q", path, tr[8:])
+		return nil, 0, fmt.Errorf("segment: %s has bad magic %q", path, tr[8:])
 	}
 	ftLen := int(binary.LittleEndian.Uint32(tr[0:4]))
 	ftCRC := binary.LittleEndian.Uint32(tr[4:8])
-	if ftLen <= 0 || ftLen > len(s.data)-trailerLen {
-		return fmt.Errorf("segment: %s footer length %d out of bounds", path, ftLen)
+	if ftLen <= 0 || ftLen > len(data)-trailerLen {
+		return nil, 0, fmt.Errorf("segment: %s footer length %d out of bounds", path, ftLen)
 	}
-	ftStart := len(s.data) - trailerLen - ftLen
-	ftJSON := s.data[ftStart : ftStart+ftLen]
+	ftStart := len(data) - trailerLen - ftLen
+	ftJSON := data[ftStart : ftStart+ftLen]
 	if got := crc32.Checksum(ftJSON, castagnoli); got != ftCRC {
-		return fmt.Errorf("segment: %s footer CRC mismatch: got %08x want %08x", path, got, ftCRC)
+		return nil, 0, fmt.Errorf("segment: %s footer CRC mismatch: got %08x want %08x", path, got, ftCRC)
 	}
+	return ftJSON, ftCRC, nil
+}
+
+func (s *Segment) verify(path string) error {
+	ftJSON, ftCRC, err := footerOf(s.data, path)
+	if err != nil {
+		return err
+	}
+	ftStart := len(s.data) - trailerLen - len(ftJSON)
 	if err := json.Unmarshal(ftJSON, &s.ft); err != nil {
 		return fmt.Errorf("segment: %s footer does not parse: %w", path, err)
 	}
@@ -397,8 +469,8 @@ func (s *Segment) decodePage(p pageMeta, fn func(global int, r model.Row)) error
 
 // ScanEntities streams every row whose entity is in the probe set,
 // skipping pages whose zone entry excludes all probes. It returns the
-// number of pages actually decoded (the skipping telemetry the backend
-// aggregates).
+// number of pages actually decoded (the skipping telemetry the claim
+// store aggregates).
 func (s *Segment) ScanEntities(probe map[string]struct{}, fn func(model.Row)) (int, error) {
 	decoded := 0
 	for _, p := range s.ft.Pages {

@@ -17,7 +17,8 @@
 // With Config.Durability set, the server is crash-safe (internal/wal):
 // every accepted batch is written ahead to a segmented, CRC-framed log
 // before the HTTP acknowledgment, every published snapshot checkpoints its
-// inputs (cumulative triples, accumulated quality, refit-policy state and
+// inputs (the claims since the previous checkpoint sealed into a new
+// immutable segment, accumulated quality, refit-policy state and
 // counters), and startup recovers by loading the newest readable
 // checkpoint and replaying the log tail — reconstructing model state
 // bit-identical to an uninterrupted run, with torn or corrupt log tails

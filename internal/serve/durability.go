@@ -84,7 +84,7 @@ type durable struct {
 // configHash fingerprints every configuration field that shapes the model
 // state a checkpoint captures. Restoring policy state under a different
 // fingerprint would silently change inference, so recovery drops the
-// accumulated quality (keeping the triples, which are config-independent)
+// accumulated quality (keeping the corpus, which is config-independent)
 // when the hash differs.
 func configHash(c Config) string {
 	h := sha256.New()
@@ -131,39 +131,22 @@ func (s *Server) openDurable() error {
 	}
 	d.checkpoints.Store(int64(rec.Store.Count()))
 
-	// Reconcile the configured storage kind with what the directory was
-	// written by: adopting a memory checkpoint under -storage=segments (or
-	// vice versa) would be a silent format migration, so it errors loudly.
-	// A cold directory accepts either kind.
-	diskKind := rec.Storage
-	if diskKind == "" && rec.Checkpoint != nil {
-		diskKind = store.StorageMemory
-	}
-	if diskKind != "" && diskKind != s.cfg.Storage {
+	segDir := wal.SegmentDir(dcfg.DataDir)
+	if err := os.MkdirAll(segDir, 0o755); err != nil {
 		rec.Log.Close()
-		return fmt.Errorf("serve: %s was written by storage kind %q but the server is configured for %q; refusing to mix formats",
-			dcfg.DataDir, diskKind, s.cfg.Storage)
+		return fmt.Errorf("serve: creating segment directory: %w", err)
 	}
-	switch s.cfg.Storage {
-	case store.StorageSegments:
-		segDir := wal.SegmentDir(dcfg.DataDir)
-		if err := os.MkdirAll(segDir, 0o755); err != nil {
-			rec.Log.Close()
-			return fmt.Errorf("serve: creating segment directory: %w", err)
-		}
-		sb, err := store.OpenSegmentBacked(segDir, rec.Segments, rec.DB)
-		if err != nil {
-			rec.Log.Close()
-			return fmt.Errorf("serve: opening segments under %s: %w", dcfg.DataDir, err)
-		}
-		s.db = sb
-		if n := len(rec.Segments); n > 0 {
-			st := sb.Stats()
-			s.logf("serve: storage=segments: opened %d segments (%d rows on disk, %d bytes, no CSV replay)",
-				n, st.OnDisk, st.SegmentBytes)
-		}
-	default:
-		s.db = store.NewMemoryFrom(rec.DB)
+	s.db = store.Open(segDir, rec.Segments, rec.DB)
+	switch st := s.db.Stats(); {
+	case rec.Legacy:
+		// A directory from before segments were the only format: the
+		// corpus came from the checkpoint's triples.csv and nothing is
+		// sealed yet, so the next checkpoint seals all of it into one
+		// segment and writes no CSV. Later opens take the segment path.
+		s.warnf("serve: %s: checkpoint seq=%d is in the legacy triples.csv format; migrating %d rows to sealed segments at the next checkpoint",
+			dcfg.DataDir, rec.Checkpoint.Manifest.Seq, st.Resident)
+	case st.Segments > 0:
+		s.logf("serve: opened %d segments (%d rows on disk, %d bytes)", st.Segments, st.OnDisk, st.SegmentBytes)
 	}
 	s.ingest.log = rec.Log
 	if cp := rec.Checkpoint; cp != nil {
@@ -253,8 +236,8 @@ func (s *Server) openDurable() error {
 }
 
 // restoreSnapshot reconstructs the checkpointed serving snapshot: the
-// dataset is rebuilt from the recovered database (checkpoint triples only
-// at this point — the tail replays after), the posterior comes from the
+// dataset is rebuilt from the recovered database (checkpoint rows only at
+// this point — the tail replays after), the posterior comes from the
 // checkpoint's posterior.csv bit-exactly, and the quality table from the
 // restored accumulator. Checkpoints without a posterior (pre-existing
 // directories) restore nothing and the server starts unpublished, exactly
@@ -291,22 +274,16 @@ func (s *Server) restoreSnapshot(cp *wal.Checkpoint) error {
 }
 
 // checkpoint persists the just-published snapshot's inputs and advances
-// the log: manifest + triples + quality land atomically in the checkpoint
-// store, old checkpoints beyond the retention count are pruned, and WAL
-// segments covered by every surviving checkpoint are deleted. Called under
-// Server.mu right after the snapshot swap. A checkpoint failure does not
-// fail the refit — the snapshot is already live and the WAL still covers
-// everything — it is logged and counted for /durability.
-//
-// Cost note: under memory storage every checkpoint serializes the WHOLE
-// cumulative database as triples.csv, so the per-refit I/O is O(history).
-// Segment storage removes that: rows sealed by earlier checkpoints live
-// in immutable segment files that are simply referenced again, and only
-// the tail ingested since the previous checkpoint is sealed into one new
-// segment — O(new rows) per checkpoint, with the same bit-identical
-// restart guarantee. For very large histories on the memory kind, stretch
-// RefitInterval / MinBatch; the WAL alone keeps every acknowledged batch
-// durable between refits.
+// the log: the rows ingested since the previous checkpoint are sealed into
+// one new immutable segment, then manifest (referencing every segment) +
+// quality + posterior land atomically in the checkpoint store, old
+// checkpoints beyond the retention count are pruned, and WAL segments
+// covered by every surviving checkpoint are deleted. Rows sealed by earlier
+// checkpoints are simply referenced again, so the per-refit I/O is
+// O(new rows), never O(history). Called under Server.mu right after the
+// snapshot swap. A checkpoint failure does not fail the refit — the
+// snapshot is already live and the WAL still covers everything — it is
+// logged and counted for /durability.
 func (s *Server) checkpoint(snap *Snapshot) {
 	d := s.dur
 	start := time.Now()
@@ -327,28 +304,15 @@ func (s *Server) checkpoint(snap *Snapshot) {
 		return
 	}
 	m.Policy = state
-	// Corpus coverage: the segment backend seals the rows ingested since
-	// the previous checkpoint into one new immutable segment and records
-	// the full (append-only) segment list in the manifest instead of a
-	// CSV copy; the memory backend keeps writing triples.csv wholesale.
-	var triples func(io.Writer) error
-	if sb, ok := s.db.(*store.SegmentBacked); ok {
-		refs, err := sb.Seal(uint64(snap.Seq))
-		if err != nil {
-			s.checkpointFailed(fmt.Errorf("sealing segment: %w", err))
-			return
-		}
-		m.Storage = store.StorageSegments
-		m.Segments = refs
-	} else {
-		rows := s.db.Rows()
-		triples = func(w io.Writer) error { return dataset.WriteTriplesRows(w, rows) }
+	if m.Segments, err = s.db.Seal(uint64(snap.Seq)); err != nil {
+		s.checkpointFailed(fmt.Errorf("sealing segment: %w", err))
+		return
 	}
 	// The posterior makes the checkpoint a full snapshot restore point:
 	// recovery (and a bootstrapping follower) reconstructs the published
 	// probabilities bit-exactly, so a subsequent dirty refit extends the
 	// same previous posterior the primary extended.
-	err = d.store.Write(m, triples,
+	err = d.store.Write(m,
 		func(w io.Writer) error { return dataset.WriteQuality(w, s.online.Quality()) },
 		func(w io.Writer) error { return dataset.WritePosterior(w, snap.Dataset, snap.Result.Prob) })
 	if err != nil {
@@ -378,12 +342,10 @@ func (s *Server) checkpoint(snap *Snapshot) {
 	// whose checkpoint never committed, or a stale temp. (Retained older
 	// checkpoints reference prefixes of the newest list, so keeping only
 	// the newest coverage is safe for fallback recovery.)
-	if len(m.Segments) > 0 {
-		if n, err := segment.Clean(wal.SegmentDir(d.cfg.DataDir), m.Segments); err != nil {
-			s.warnf("serve: cleaning orphan segments: %v", err)
-		} else if n > 0 {
-			s.logf("serve: removed %d orphan segment file(s)", n)
-		}
+	if n, err := segment.Clean(wal.SegmentDir(d.cfg.DataDir), m.Segments); err != nil {
+		s.warnf("serve: cleaning orphan segments: %v", err)
+	} else if n > 0 {
+		s.logf("serve: removed %d orphan segment file(s)", n)
 	}
 	d.checkpoints.Store(int64(len(left)))
 	d.lastSeq.Store(m.Seq)

@@ -97,9 +97,6 @@ const (
 	// codeFollowerAhead: the follower holds records past this primary's log
 	// head — primary state was lost or replaced (409).
 	codeFollowerAhead = "follower_ahead"
-	// codeStorageUnsupported: the operation is not implemented for this
-	// storage backend (501).
-	codeStorageUnsupported = "storage_unsupported"
 )
 
 // rejectOnFollower writes the 503 a write endpoint returns in follower
@@ -272,14 +269,14 @@ func (s *Server) handleClaims(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleClaimsQuery serves raw claims straight from the storage backend —
-// the compacted corpus, not the fitted snapshot: it answers even when no
+// handleClaimsQuery serves raw claims straight from the claim store — the
+// compacted corpus, not the fitted snapshot: it answers even when no
 // snapshot is published, and batches still pending in the ingest log
-// appear once the next refit drains them into the store. Filters
-// push down into the backend: on the segment store an ?entity= or
-// ?prefix= scan skips every segment whose zone map or bloom filter rules
-// it out. Rows are returned in (entity, attribute, source) order, which
-// is backend-independent.
+// appear once the next refit drains them into the store. Filters push
+// down into the store: over sealed rows an ?entity= or ?prefix= scan skips
+// every segment whose zone map or bloom filter rules it out. Rows are
+// returned in (entity, attribute, source) order, which is independent of
+// how much of the corpus is sealed.
 func (s *Server) handleClaimsQuery(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	opts := query.ClaimsOptions{
@@ -669,10 +666,10 @@ type statsResponse struct {
 	NegativeClaims int `json:"negative_claims"`
 	Labeled        int `json:"labeled"`
 
-	// Storage reports the claim-storage backend's shape: resident (heap)
-	// vs on-disk row counts are kept separate, and the skipping counters
-	// show how much I/O the zone maps and blooms pruned. Always present,
-	// even before the first refit.
+	// Storage reports the claim store's shape: resident (heap) vs on-disk
+	// row counts are kept separate, and the skipping counters show how
+	// much I/O the zone maps and blooms pruned. Always present, even
+	// before the first refit.
 	Storage store.StorageStats `json:"storage"`
 }
 

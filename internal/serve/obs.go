@@ -155,13 +155,13 @@ func (s *Server) initObs() {
 			}
 			return 0
 		})
-	// Storage-backend gauges read Backend.Stats(), which is atomics-only —
-	// a scrape never contends with an in-flight refit or seal. They are
-	// registered on every instrumented server (a memory backend reports
-	// zero disk rows/segments) so the cluster-level merge rules always see
-	// the family.
+	// Storage gauges read Claims.Stats(), which is lock-free — a scrape
+	// never contends with an in-flight refit or seal. They are registered
+	// on every instrumented server (a non-durable one reports zero disk
+	// rows/segments) so the cluster-level merge rules always see the
+	// family.
 	s.reg.GaugeFunc("storage_resident_rows",
-		"Claim rows resident on the heap (memory backend: the whole corpus).",
+		"Claim rows resident on the heap (the whole corpus).",
 		func() float64 { return float64(s.db.Stats().Resident) })
 	s.reg.GaugeFunc("storage_disk_rows",
 		"Claim rows covered by sealed on-disk segments.",

@@ -339,17 +339,7 @@ func (s *Server) dirtyFit(prev *Snapshot, fresh []model.Row, dirty map[string]st
 		return dirtyOutcome{ds: prev.Dataset, res: prev.Result, quality: prev.Quality,
 			records: prev.Records}, nil
 	}
-	var ext *store.Extension
-	var err error
-	if _, ok := s.db.(*store.SegmentBacked); ok {
-		// On the segment backend the dirty entities' claim history is
-		// re-read through the reader, whose zone maps and blooms skip every
-		// segment (and page) that holds no dirty entity — the refit's I/O is
-		// proportional to the dirty set, not the corpus.
-		ext, err = store.ExtendDirtyScan(prev.Dataset, fresh, dirty, s.db.Reader())
-	} else {
-		ext, err = store.ExtendDirty(prev.Dataset, fresh, dirty)
-	}
+	ext, err := store.ExtendDirty(prev.Dataset, fresh, dirty)
 	if err != nil {
 		// A tracking invariant broke (should not happen); the full path is
 		// always correct, so fall back loudly rather than fail the refit.

@@ -16,7 +16,6 @@ import (
 
 	"latenttruth/internal/core"
 	"latenttruth/internal/model"
-	"latenttruth/internal/store"
 	"latenttruth/internal/wal"
 )
 
@@ -24,8 +23,10 @@ import (
 // endpoints:
 //
 //	GET /replication/checkpoint        stream the newest checkpoint
-//	                                   (MANIFEST.json, triples.csv,
-//	                                   quality.csv as one multipart body)
+//	                                   (MANIFEST.json, quality.csv,
+//	                                   posterior.csv and every segment
+//	                                   file the manifest lists, verbatim,
+//	                                   as one multipart body)
 //	GET /replication/wal?from=N        long-poll the log from sequence N,
 //	    [&follower=ID][&wait=10s]      streamed in the WAL's own CRC32C
 //	                                   record framing (wal.DecodeBatch)
@@ -331,27 +332,19 @@ func (s *Server) bootstrapFollowerSnapshot() error {
 	return nil
 }
 
-// checkpointFiles is the fixed part order of a /replication/checkpoint
-// response: the manifest first so the receiver can verify the rest. The
-// posterior part is optional — checkpoints written before snapshot
-// restoration existed don't have one, and the manifest's PosteriorCRC
-// tells the receiver whether to expect it.
-var checkpointFiles = []string{"MANIFEST.json", "triples.csv", "quality.csv", wal.PosteriorName}
+// checkpointFiles is the fixed leading part order of a
+// /replication/checkpoint response: the manifest first so the receiver can
+// verify the rest. The posterior part is optional — checkpoints written
+// before snapshot restoration existed don't have one, and the manifest's
+// PosteriorCRC tells the receiver whether to expect it. The manifest's
+// segment files follow, byte for byte as they sit on disk.
+var checkpointFiles = []string{"MANIFEST.json", "quality.csv", wal.PosteriorName}
 
 // handleReplCheckpoint streams the newest checkpoint as a multipart body.
 // The files are opened before anything is written, so a concurrent prune
-// cannot tear the response (unlinked files stay readable through the open
-// descriptors).
+// or segment clean cannot tear the response (unlinked files stay readable
+// through the open descriptors).
 func (s *Server) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.db.(*store.SegmentBacked); ok {
-		// Segment checkpoints carry no triples.csv, so there is nothing a
-		// follower could bootstrap its corpus from; replicated primaries
-		// must run -storage=memory (enforced for followers at config time,
-		// surfaced here for primaries a follower is pointed at anyway).
-		s.writeError(w, http.StatusNotImplemented, codeStorageUnsupported, errors.New(
-			"serve: checkpoint bootstrap is not supported from a segment-storage primary; run the primary with -storage=memory to replicate"))
-		return
-	}
 	cps, _, err := s.dur.store.Checkpoints()
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, codeInternal, err)
@@ -362,23 +355,30 @@ func (s *Server) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cp := cps[len(cps)-1]
-	names := make([]string, 0, len(checkpointFiles))
-	files := make([]*os.File, 0, len(checkpointFiles))
+	var names []string
+	var files []*os.File
 	defer func() {
 		for _, f := range files {
 			f.Close()
 		}
 	}()
+	paths := make([]string, 0, len(checkpointFiles)+len(cp.Manifest.Segments))
 	for _, name := range checkpointFiles {
-		f, err := os.Open(filepath.Join(cp.Dir, name))
-		if os.IsNotExist(err) && name == wal.PosteriorName {
+		paths = append(paths, filepath.Join(cp.Dir, name))
+	}
+	for _, ref := range cp.Manifest.Segments {
+		paths = append(paths, filepath.Join(wal.SegmentDir(s.dur.cfg.DataDir), ref.Filename()))
+	}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if os.IsNotExist(err) && filepath.Base(path) == wal.PosteriorName {
 			continue // older checkpoint without a posterior part
 		}
 		if err != nil {
 			s.writeError(w, http.StatusInternalServerError, codeInternal, err)
 			return
 		}
-		names = append(names, name)
+		names = append(names, filepath.Base(path))
 		files = append(files, f)
 	}
 	mw := multipart.NewWriter(w)

@@ -10,6 +10,8 @@ import (
 	"mime"
 	"mime/multipart"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -103,7 +105,7 @@ func TestReplicationCheckpointEndpoint(t *testing.T) {
 
 	parts := fetchCheckpointParts(t, ts.URL)
 	if len(parts) != 4 {
-		t.Fatalf("checkpoint has %d parts, want 4 (manifest, triples, quality, posterior): %v", len(parts), parts)
+		t.Fatalf("checkpoint has %d parts, want 4 (manifest, quality, posterior, one segment): %v", len(parts), parts)
 	}
 	var m wal.Manifest
 	if err := json.Unmarshal(parts["MANIFEST.json"], &m); err != nil {
@@ -115,14 +117,26 @@ func TestReplicationCheckpointEndpoint(t *testing.T) {
 	// The streamed files verify against the manifest's CRCs — the same
 	// check a bootstrapping follower performs.
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
-	if got := crc32.Checksum(parts["triples.csv"], castagnoli); got != m.TriplesCRC {
-		t.Fatalf("triples CRC %08x, manifest %08x", got, m.TriplesCRC)
+	if _, ok := parts["triples.csv"]; ok || m.TriplesCRC != 0 {
+		t.Fatalf("checkpoint ships a triples.csv (manifest CRC %08x)", m.TriplesCRC)
 	}
 	if got := crc32.Checksum(parts["quality.csv"], castagnoli); got != m.QualityCRC {
 		t.Fatalf("quality CRC %08x, manifest %08x", got, m.QualityCRC)
 	}
 	if got := crc32.Checksum(parts["posterior.csv"], castagnoli); got != m.PosteriorCRC {
 		t.Fatalf("posterior CRC %08x, manifest %08x", got, m.PosteriorCRC)
+	}
+	// The corpus ships as the manifest's segment files, byte for byte as
+	// they sit in the primary's segment directory.
+	if len(m.Segments) != 1 {
+		t.Fatalf("manifest lists %d segments, want 1", len(m.Segments))
+	}
+	onDisk, err := os.ReadFile(filepath.Join(wal.SegmentDir(s.cfg.Durability.DataDir), m.Segments[0].Filename()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(parts[m.Segments[0].Filename()], onDisk) {
+		t.Fatal("shipped segment differs from the file on disk")
 	}
 
 	// Memory-only servers don't expose the endpoint at all.

@@ -87,18 +87,6 @@ type Config struct {
 	// acknowledged, every published snapshot is checkpointed, and startup
 	// recovers the exact pre-crash state (checkpoint + WAL tail replay).
 	Durability Durability
-	// Storage selects the claim-store backend: store.StorageMemory (the
-	// default) keeps the corpus purely heap-resident and checkpoints it as
-	// CSV; store.StorageSegments additionally seals ingested rows into
-	// immutable on-disk segments at checkpoint time — checkpoints then
-	// cost O(new rows), recovery reopens segments instead of re-parsing
-	// CSV, and entity/source-scoped scans skip segments via zone maps and
-	// bloom filters. Segments require Durability.DataDir and are not yet
-	// supported on replication primaries' checkpoint bootstrap (followers
-	// of a segment primary cannot cold-bootstrap) or on followers.
-	// Backends are bit-identical: every query answer is the same under
-	// either kind.
-	Storage string
 	// Replication tunes the primary side of WAL log shipping (the
 	// /replication/checkpoint and /replication/wal endpoints a durable
 	// server always exposes). Zero values take defaults.
@@ -135,9 +123,6 @@ func (c Config) withDefaults() Config {
 	if c.MinBatch <= 0 {
 		c.MinBatch = 1
 	}
-	if c.Storage == "" {
-		c.Storage = store.StorageMemory
-	}
 	return c
 }
 
@@ -155,11 +140,11 @@ type Server struct {
 
 	// mu serializes refits and guards db, online and the refit counters.
 	mu sync.Mutex
-	// db is the cumulative claim store every snapshot is compacted from,
-	// behind the storage API: heap-resident rows either way, plus sealed
-	// on-disk segments under the segments kind. Appends happen under mu;
-	// db.Reader() and db.Stats() are lock-free for queries and scrapes.
-	db store.Backend
+	// db is the cumulative claim store every snapshot is compacted from:
+	// heap-resident rows, sealed into on-disk segments at every checkpoint
+	// when the server is durable. Appends happen under mu; db.Reader() and
+	// db.Stats() are lock-free for queries and scrapes.
+	db *store.Claims
 	// online carries accumulated source quality across refits (§5.4). It is
 	// created lazily at the first refit so default priors can be sized to
 	// the data actually seen; stream.Online is not concurrency-safe, so all
@@ -242,23 +227,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.FollowerOf != "" && !cfg.Durability.Enabled() {
 		return nil, fmt.Errorf("serve: follower mode requires Durability.DataDir (the replicated log is the restart state)")
 	}
-	switch cfg.Storage {
-	case store.StorageMemory:
-	case store.StorageSegments:
-		if !cfg.Durability.Enabled() {
-			return nil, fmt.Errorf("serve: storage %q requires Durability.DataDir (segments live beside the WAL)", cfg.Storage)
-		}
-		if cfg.FollowerOf != "" {
-			return nil, fmt.Errorf("serve: storage %q is not supported in follower mode (bootstrap ships CSV checkpoints)", cfg.Storage)
-		}
-	default:
-		return nil, fmt.Errorf("serve: unknown storage kind %q (want %q or %q)",
-			cfg.Storage, store.StorageMemory, store.StorageSegments)
-	}
 	s := &Server{
 		cfg:       cfg,
 		ingest:    &ingestLog{},
-		db:        store.NewMemory(),
+		db:        store.New(""),
 		started:   time.Now(),
 		stop:      make(chan struct{}),
 		walNotify: newNotifier(),

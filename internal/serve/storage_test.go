@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,18 +14,15 @@ import (
 	"reflect"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
+	"latenttruth/internal/dataset"
+	"latenttruth/internal/model"
+	"latenttruth/internal/segment"
 	"latenttruth/internal/store"
 	"latenttruth/internal/wal"
 )
-
-// segmentConfig returns a manual-refit config on the segment backend.
-func segmentConfig(policy RefitPolicy, dir string) Config {
-	cfg := durableConfig(policy, dir)
-	cfg.Storage = store.StorageSegments
-	return cfg
-}
 
 // getBody fetches path from ts and returns the status code and body.
 func getBody(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
@@ -42,21 +42,23 @@ func getBody(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 // fittedAtRe masks the one wall-clock field in snapshot responses.
 var fittedAtRe = regexp.MustCompile(`"fitted_at":"[^"]*"`)
 
-// TestSegmentBackendBitIdentical is the storage acceptance property: a
-// segment-backed server and a memory server fed the identical schedule
-// publish bit-identical snapshots and serve byte-identical /truth,
-// /quality, /records and /claims responses, across every refit policy.
-// /stats is compared modulo its timing fields and the storage block,
-// which reports the (deliberately different) physical shape.
+// TestSegmentBackendBitIdentical is the sealing acceptance property: a
+// durable server, whose checkpoints seal every compacted row into segments
+// that its scans then read through zone maps and blooms, and a server
+// without a directory, which never seals and scans heap rows, fed the
+// identical schedule publish bit-identical snapshots and serve
+// byte-identical /truth, /quality, /records and /claims responses, across
+// every refit policy. /stats is compared modulo its timing fields and the
+// storage block, which reports the (deliberately different) residency.
 func TestSegmentBackendBitIdentical(t *testing.T) {
 	for _, policy := range []RefitPolicy{RefitFull, RefitIncremental, RefitOnline, RefitDirty} {
 		t.Run(string(policy), func(t *testing.T) {
-			mem, err := New(durableConfig(policy, t.TempDir()))
+			mem, err := New(testConfig(policy))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer mem.Close()
-			seg, err := New(segmentConfig(policy, t.TempDir()))
+			seg, err := New(durableConfig(policy, t.TempDir()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,19 +87,19 @@ func TestSegmentBackendBitIdentical(t *testing.T) {
 				cm, bm := getBody(t, tsMem, path)
 				cs, bs := getBody(t, tsSeg, path)
 				if cm != http.StatusOK || cs != http.StatusOK {
-					t.Fatalf("GET %s: status memory=%d segments=%d", path, cm, cs)
+					t.Fatalf("GET %s: status heap=%d sealed=%d", path, cm, cs)
 				}
 				// fitted_at is the one wall-clock field; everything else
 				// must match byte for byte.
 				bm = fittedAtRe.ReplaceAll(bm, []byte(`"fitted_at":"T"`))
 				bs = fittedAtRe.ReplaceAll(bs, []byte(`"fitted_at":"T"`))
 				if string(bm) != string(bs) {
-					t.Fatalf("GET %s differs across backends:\nmemory:   %s\nsegments: %s", path, bm, bs)
+					t.Fatalf("GET %s differs once sealed:\nheap:   %s\nsealed: %s", path, bm, bs)
 				}
 			}
 
 			// /stats must agree on everything except uptime/timings and the
-			// storage block (which reports the physical shape by design).
+			// storage block (which reports the residency by design).
 			var sm, ss map[string]any
 			_, bm := getBody(t, tsMem, "/stats")
 			_, bs := getBody(t, tsSeg, "/stats")
@@ -107,19 +109,18 @@ func TestSegmentBackendBitIdentical(t *testing.T) {
 			if err := json.Unmarshal(bs, &ss); err != nil {
 				t.Fatal(err)
 			}
-			segStorage := ss["storage"].(map[string]any)
-			if segStorage["kind"] != store.StorageSegments || segStorage["disk_rows"].(float64) == 0 {
-				t.Fatalf("segment server /stats storage block: %v", segStorage)
+			if disk := ss["storage"].(map[string]any)["disk_rows"].(float64); disk == 0 {
+				t.Fatalf("durable server /stats storage block: %v", ss["storage"])
 			}
-			if memKind := sm["storage"].(map[string]any)["kind"]; memKind != store.StorageMemory {
-				t.Fatalf("memory server /stats storage kind: %v", memKind)
+			if disk := sm["storage"].(map[string]any)["disk_rows"].(float64); disk != 0 {
+				t.Fatalf("directory-less server reports %v rows on disk", disk)
 			}
 			for _, k := range []string{"storage", "uptime_s", "last_refit_ms", "freshness_ms"} {
 				delete(sm, k)
 				delete(ss, k)
 			}
 			if !reflect.DeepEqual(sm, ss) {
-				t.Fatalf("/stats differs across backends:\nmemory:   %v\nsegments: %v", sm, ss)
+				t.Fatalf("/stats differs once sealed:\nheap:   %v\nsealed: %v", sm, ss)
 			}
 		})
 	}
@@ -137,7 +138,7 @@ func TestSegmentRecoveryReplaysOnlyTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	a, err := New(segmentConfig(RefitFull, dir))
+	a, err := New(durableConfig(RefitFull, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +150,10 @@ func TestSegmentRecoveryReplaysOnlyTail(t *testing.T) {
 	}
 	// After a checkpoint every compacted row is sealed on disk.
 	st := a.db.Stats()
-	if st.Kind != store.StorageSegments || st.OnDisk != a.db.Len() || st.Segments == 0 {
+	if st.OnDisk != a.db.Len() || st.Segments == 0 {
 		t.Fatalf("post-checkpoint storage stats: %+v (db len %d)", st, a.db.Len())
 	}
-	// Segment checkpoints write no triples.csv: the segments ARE the corpus.
+	// Checkpoints write no triples.csv: the segments ARE the corpus.
 	cps, err := os.ReadDir(wal.CheckpointDir(dir))
 	if err != nil || len(cps) == 0 {
 		t.Fatalf("no checkpoints (err=%v)", err)
@@ -173,7 +174,7 @@ func TestSegmentRecoveryReplaysOnlyTail(t *testing.T) {
 	mustIngest(t, ref, batchRows(11))
 	crash(a)
 
-	b, err := New(segmentConfig(RefitFull, dir))
+	b, err := New(durableConfig(RefitFull, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestSegmentRecoveryReplaysOnlyTail(t *testing.T) {
 	}
 	// The corpus came back from segments, not CSV, fully covered on disk.
 	bst := b.db.Stats()
-	if bst.Kind != store.StorageSegments || bst.OnDisk != b.db.Len() || bst.OnDisk != st.OnDisk {
+	if bst.OnDisk != b.db.Len() || bst.OnDisk != st.OnDisk {
 		t.Fatalf("post-recovery storage stats: %+v, want %d rows on disk", bst, st.OnDisk)
 	}
 	mustEqualSnapshots(t, mustRefit(t, b), mustRefit(t, ref))
@@ -203,7 +204,7 @@ func TestSegmentRecoveryReplaysOnlyTail(t *testing.T) {
 // and asserts the restart fails loudly instead of serving corrupt rows.
 func TestSegmentCorruptionRefusesToOpen(t *testing.T) {
 	dir := t.TempDir()
-	a, err := New(segmentConfig(RefitFull, dir))
+	a, err := New(durableConfig(RefitFull, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,53 +225,10 @@ func TestSegmentCorruptionRefusesToOpen(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(segmentConfig(RefitFull, dir)); err == nil {
+	if _, err := New(durableConfig(RefitFull, dir)); err == nil {
 		t.Fatal("restart over a corrupt segment succeeded")
 	} else if !strings.Contains(err.Error(), "checkpoint") {
 		t.Fatalf("corruption error should mention the unreadable checkpoint state: %v", err)
-	}
-}
-
-// TestStorageConfigValidation pins the construction-time guard rails.
-func TestStorageConfigValidation(t *testing.T) {
-	if _, err := New(Config{Storage: store.StorageSegments}); err == nil ||
-		!strings.Contains(err.Error(), "DataDir") {
-		t.Fatalf("segments without a data dir: %v", err)
-	}
-	cfg := segmentConfig(RefitFull, t.TempDir())
-	cfg.FollowerOf = "http://primary:8080"
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "follower") {
-		t.Fatalf("segments in follower mode: %v", err)
-	}
-	if _, err := New(Config{Storage: "papyrus"}); err == nil ||
-		!strings.Contains(err.Error(), "unknown storage kind") {
-		t.Fatalf("unknown storage kind: %v", err)
-	}
-}
-
-// TestStorageKindMismatchRefused asserts a data directory written under
-// one storage kind cannot be silently reopened under the other.
-func TestStorageKindMismatchRefused(t *testing.T) {
-	for _, tc := range []struct{ write, reopen string }{
-		{store.StorageMemory, store.StorageSegments},
-		{store.StorageSegments, store.StorageMemory},
-	} {
-		t.Run(tc.write+"_then_"+tc.reopen, func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := durableConfig(RefitFull, dir)
-			cfg.Storage = tc.write
-			a, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustIngest(t, a, batchRows(0))
-			mustRefit(t, a) // leaves a checkpoint stamped with the kind
-			crash(a)
-			cfg.Storage = tc.reopen
-			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "refusing to mix formats") {
-				t.Fatalf("reopening a %s directory as %s: %v", tc.write, tc.reopen, err)
-			}
-		})
 	}
 }
 
@@ -354,7 +312,7 @@ func TestErrorEnvelopeTable(t *testing.T) {
 	staleResp := mustGet(t, ts.URL+"/truth?limit=1&cursor="+page.NextCursor)
 	wantEnvelope(t, staleResp, http.StatusGone, codeStaleCursor)
 
-	// Replication feed errors (durable memory server).
+	// Replication feed errors (durable server).
 	dm, tsDur := newTestServer(t, durableConfig(RefitFull, t.TempDir()))
 	mustIngest(t, dm, batchRows(0))
 	mustRefit(t, dm)
@@ -381,13 +339,6 @@ func TestErrorEnvelopeTable(t *testing.T) {
 		t.Log("no WAL truncation happened; skipping the 410 case")
 	}
 
-	// A segment-storage primary cannot serve follower bootstraps: 501.
-	sg, tsSeg := newTestServer(t, segmentConfig(RefitFull, t.TempDir()))
-	mustIngest(t, sg, batchRows(0))
-	mustRefit(t, sg)
-	wantEnvelope(t, mustGet(t, tsSeg.URL+"/replication/checkpoint"),
-		http.StatusNotImplemented, codeStorageUnsupported)
-
 	// Follower mode: writes are redirected with the primary's address.
 	fCfg := durableConfig(RefitFull, t.TempDir())
 	fCfg.FollowerOf = "http://primary.example:8080"
@@ -410,16 +361,16 @@ func TestErrorEnvelopeTable(t *testing.T) {
 	}
 }
 
-// TestClaimsEndpointPushdown exercises GET /claims filters end to end on
-// the segment backend, including the skipping counters it should move.
+// TestClaimsEndpointPushdown exercises GET /claims filters end to end over
+// sealed rows, including the skipping counters it should move.
 func TestClaimsEndpointPushdown(t *testing.T) {
-	s, ts := newTestServer(t, segmentConfig(RefitFull, t.TempDir()))
+	s, ts := newTestServer(t, durableConfig(RefitFull, t.TempDir()))
 	for r := 0; r < 4; r++ {
 		mustIngest(t, s, batchRows(r))
 		mustRefit(t, s) // checkpoint → seal: rows live in segments
 	}
 	var out struct {
-		Count  int `json:"count"`
+		Count  int                                          `json:"count"`
 		Claims []struct{ Entity, Attribute, Source string } `json:"claims"`
 	}
 	decodeJSON(t, mustGet(t, ts.URL+"/claims?entity=e03"), &out)
@@ -447,9 +398,9 @@ func TestClaimsEndpointPushdown(t *testing.T) {
 }
 
 // TestStorageGaugesExposed asserts the storage gauge families appear in
-// /metrics with the backend's live values.
+// /metrics with the store's live values.
 func TestStorageGaugesExposed(t *testing.T) {
-	s, ts := newTestServer(t, segmentConfig(RefitFull, t.TempDir()))
+	s, ts := newTestServer(t, durableConfig(RefitFull, t.TempDir()))
 	mustIngest(t, s, batchRows(0))
 	mustRefit(t, s)
 	_, body := getBody(t, ts, "/metrics")
@@ -464,4 +415,163 @@ func TestStorageGaugesExposed(t *testing.T) {
 			t.Fatalf("/metrics missing %s %d:\n%s", metric, want, text)
 		}
 	}
+}
+
+// logBuffer is a goroutine-safe log sink for asserting on server logs.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *logBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// legacyize rewrites every checkpoint under dataDir into the format data
+// directories had before segments: the corpus as a CRC-pinned triples.csv
+// (written with the CSV writer the checkpoint path used to call) and no
+// segment refs. The segment files are deleted; the WAL is left as is.
+func legacyize(t *testing.T, dataDir string) {
+	t.Helper()
+	st, err := wal.OpenStore(wal.CheckpointDir(dataDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps, _, err := st.Checkpoints()
+	if err != nil || len(cps) == 0 {
+		t.Fatalf("no checkpoints to rewrite (err=%v)", err)
+	}
+	for _, cp := range cps {
+		m := cp.Manifest
+		last := m.Segments[len(m.Segments)-1]
+		rows := make([]model.Row, last.FirstRow+last.Rows)
+		for _, ref := range m.Segments {
+			seg, err := segment.Open(wal.SegmentDir(dataDir), ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := seg.ReadRows(rows); err != nil {
+				t.Fatal(err)
+			}
+			seg.Close()
+		}
+		var csv bytes.Buffer
+		if err := dataset.WriteTriplesRows(&csv, rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cp.Dir, "triples.csv"), csv.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m.TriplesCRC = crc32.Checksum(csv.Bytes(), crc32.MakeTable(crc32.Castagnoli))
+		m.Segments = nil
+		raw, err := json.MarshalIndent(m, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cp.Dir, "MANIFEST.json"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.RemoveAll(wal.SegmentDir(dataDir)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLegacyDirectoryMigrates reopens a data directory in the format from
+// before segments (checkpoints carrying triples.csv, plus a WAL tail): it
+// must serve /truth byte-identical to before apart from fitted_at, log the
+// migration, seal the whole corpus at its next checkpoint (which writes no
+// triples.csv), and take the segment path on the following reopen — in
+// lockstep with an uninterrupted reference throughout.
+func TestLegacyDirectoryMigrates(t *testing.T) {
+	dir := t.TempDir()
+	ref, err := New(testConfig(RefitDirty))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	a, err := New(durableConfig(RefitDirty, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 3; r++ {
+		mustIngest(t, a, batchRows(r))
+		mustIngest(t, ref, batchRows(r))
+		mustEqualSnapshots(t, mustRefit(t, a), mustRefit(t, ref))
+	}
+	mustIngest(t, a, batchRows(10)) // acknowledged tail, never checkpointed
+	mustIngest(t, ref, batchRows(10))
+	tsA := httptest.NewServer(a.Handler())
+	_, before := getBody(t, tsA, "/truth")
+	tsA.Close()
+	crash(a)
+	legacyize(t, dir)
+
+	open := func() (*Server, string) {
+		t.Helper()
+		var logs logBuffer
+		cfg := durableConfig(RefitDirty, dir)
+		cfg.Logger = log.New(&logs, "", 0)
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, logs.String()
+	}
+	b, logs := open()
+	if !strings.Contains(logs, "legacy triples.csv format; migrating") {
+		t.Fatalf("migration was not logged:\n%s", logs)
+	}
+	if st := b.db.Stats(); st.OnDisk != 0 || st.Segments != 0 || st.Resident != ref.db.Len() {
+		t.Fatalf("migrated store: %+v", st)
+	}
+	tsB := httptest.NewServer(b.Handler())
+	_, after := getBody(t, tsB, "/truth")
+	tsB.Close()
+	if want, got := fittedAtRe.ReplaceAll(before, nil), fittedAtRe.ReplaceAll(after, nil); !bytes.Equal(got, want) {
+		t.Fatalf("/truth changed across the migration:\nbefore: %s\nafter:  %s", want, got)
+	}
+
+	// The next checkpoint seals the whole corpus and writes no CSV.
+	mustEqualSnapshots(t, mustRefit(t, b), mustRefit(t, ref))
+	if st := b.db.Stats(); st.OnDisk != b.db.Len() || st.Segments != 1 {
+		t.Fatalf("post-migration checkpoint sealed %+v (db len %d)", st, b.db.Len())
+	}
+	st, err := wal.OpenStore(wal.CheckpointDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps, _, err := st.Checkpoints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := cps[len(cps)-1]
+	if len(newest.Manifest.Segments) != 1 || newest.Manifest.Legacy() {
+		t.Fatalf("post-migration manifest segments: %+v", newest.Manifest.Segments)
+	}
+	if _, err := os.Stat(filepath.Join(newest.Dir, "triples.csv")); !os.IsNotExist(err) {
+		t.Fatalf("post-migration checkpoint has a triples.csv (err=%v)", err)
+	}
+	crash(b)
+
+	// A second reopen takes the segment path.
+	c, logs := open()
+	defer c.Close()
+	if !strings.Contains(logs, "serve: opened 1 segments") || strings.Contains(logs, "legacy") {
+		t.Fatalf("second reopen did not take the segment path:\n%s", logs)
+	}
+	if st := c.db.Stats(); st.OnDisk != c.db.Len() {
+		t.Fatalf("reopened store: %+v (db len %d)", st, c.db.Len())
+	}
+	mustIngest(t, c, batchRows(11))
+	mustIngest(t, ref, batchRows(11))
+	mustEqualSnapshots(t, mustRefit(t, c), mustRefit(t, ref))
 }

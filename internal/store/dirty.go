@@ -52,27 +52,6 @@ type Extension struct {
 // fresh are ignored (they come from de-duplicated re-ingests of rows the
 // database already holds under an entity the previous snapshot covers).
 func ExtendDirty(prev *model.Dataset, fresh []model.Row, dirty map[string]struct{}) (*Extension, error) {
-	return extendDirty(prev, fresh, dirty, nil)
-}
-
-// ExtendDirtyScan is ExtendDirty with the cover/positive sets derived from
-// the raw rows themselves instead of prev's claim indexes: rd must be a
-// point-in-time view of exactly the rows prev was built from plus fresh.
-// The two derivations are provably equivalent — a dirty entity's covering
-// sources are the sources holding any row on it, and a fact's positive
-// sources the sources holding that row, whether enumerated from prev's
-// fact-major claim table or from the rows — so the Extension is
-// bit-identical. The difference is the access path: the scan consults the
-// backend's zone maps and blooms, so a segment-backed store opens only
-// segments intersecting the dirty entity set.
-func ExtendDirtyScan(prev *model.Dataset, fresh []model.Row, dirty map[string]struct{}, rd Reader) (*Extension, error) {
-	if rd == nil {
-		return nil, fmt.Errorf("store: ExtendDirtyScan requires a reader")
-	}
-	return extendDirty(prev, fresh, dirty, rd)
-}
-
-func extendDirty(prev *model.Dataset, fresh []model.Row, dirty map[string]struct{}, rd Reader) (*Extension, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("store: ExtendDirty requires a previous dataset")
 	}
@@ -173,81 +152,39 @@ func extendDirty(prev *model.Dataset, fresh []model.Row, dirty map[string]struct
 	}
 	sort.Ints(dirtyIDs)
 
-	// Per dirty entity: the sorted covering-source list. Per dirty fact:
-	// the positive-source set. Two equivalent bases exist: the dataset
-	// basis reads prev's claim indexes and unions the fresh additions; the
-	// scan basis re-enumerates the dirty entities' raw rows through the
-	// backend reader (which skips segments the dirty set cannot touch).
-	// Both produce the same sets — prev's claims are a lossless encoding
-	// of the prefix rows — so the resulting Extension is bit-identical.
+	// Per dirty entity: the sorted covering-source list (prev cover ∪ new).
+	// Per dirty fact: the positive-source set (prev positives ∪ new).
 	coverSets := make(map[int]map[int]struct{}, len(dirtyIDs))
 	positives := make(map[int]map[int]struct{})
 	dirtyFact := make([]bool, len(facts))
 	for _, e := range dirtyIDs {
-		coverSets[e] = make(map[int]struct{})
+		cs := make(map[int]struct{})
+		coverSets[e] = cs
+		if e < nE0 {
+			// All of an entity's facts share one covering set
+			// (Definition 3), so the first fact's claim list enumerates it.
+			first := prev.FactsByEntity[e][0]
+			for _, ci := range prev.ClaimsByFact[first] {
+				cs[prev.Claims[ci].Source] = struct{}{}
+			}
+		}
+		for s := range coverNew[e] {
+			cs[s] = struct{}{}
+		}
 		for _, f := range fbe[e] {
 			dirtyFact[f] = true
-			positives[f] = make(map[int]struct{})
-		}
-	}
-	if rd == nil {
-		// Dataset basis: prev cover ∪ new, prev positives ∪ new.
-		for _, e := range dirtyIDs {
-			cs := coverSets[e]
-			if e < nE0 {
-				// All of an entity's facts share one covering set
-				// (Definition 3), so the first fact's claim list enumerates it.
-				first := prev.FactsByEntity[e][0]
-				for _, ci := range prev.ClaimsByFact[first] {
-					cs[prev.Claims[ci].Source] = struct{}{}
-				}
-			}
-			for s := range coverNew[e] {
-				cs[s] = struct{}{}
-			}
-			for _, f := range fbe[e] {
-				ps := positives[f]
-				if f < nF0 {
-					for _, ci := range prev.ClaimsByFact[f] {
-						if c := prev.Claims[ci]; c.Observation {
-							ps[c.Source] = struct{}{}
-						}
+			ps := make(map[int]struct{})
+			positives[f] = ps
+			if f < nF0 {
+				for _, ci := range prev.ClaimsByFact[f] {
+					if c := prev.Claims[ci]; c.Observation {
+						ps[c.Source] = struct{}{}
 					}
 				}
-				for s := range posNew[f] {
-					ps[s] = struct{}{}
-				}
 			}
-		}
-	} else {
-		// Scan basis: one pass over the dirty entities' rows. Every
-		// scanned row's ids are already assigned — prefix rows resolve
-		// through prev, fresh rows through the loop above.
-		probe := make(map[string]struct{}, len(dirtyIDs))
-		for _, e := range dirtyIDs {
-			probe[entities[e]] = struct{}{}
-		}
-		var scanErr error
-		err := rd.ScanEntities(probe, func(r model.Row) {
-			if scanErr != nil {
-				return
+			for s := range posNew[f] {
+				ps[s] = struct{}{}
 			}
-			e, okE := entityID[r.Entity]
-			s, okS := sourceID[r.Source]
-			f, okF := factID[[2]string{r.Entity, r.Attribute}]
-			if !okE || !okS || !okF {
-				scanErr = fmt.Errorf("store: scanned row (%q,%q,%q) references ids unknown to prev+fresh (stale reader?)",
-					r.Entity, r.Attribute, r.Source)
-				return
-			}
-			coverSets[e][s] = struct{}{}
-			positives[f][s] = struct{}{}
-		})
-		if err == nil {
-			err = scanErr
-		}
-		if err != nil {
-			return nil, err
 		}
 	}
 	cover := make(map[int][]int, len(dirtyIDs))

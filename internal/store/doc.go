@@ -8,14 +8,12 @@
 // operations are pure: they return new datasets and never mutate their
 // inputs.
 //
-// The package also defines the claim-storage API behind the serving
-// layer: the Backend interface (an append-only raw-claim store with a
-// lock-free point-in-time Reader for scoped scans) and its two
-// implementations — Memory, the heap-resident RawDB path, and
-// SegmentBacked, which mirrors rows into immutable on-disk segments
-// (package internal/segment) sealed incrementally at checkpoint time,
-// with zone-map and bloom data skipping on every scoped scan. Both
-// backends make the same bit-identity promise: identical AddRow order
-// yields identical Rows() order, so every dataset id and truth decision
-// is independent of the storage kind.
+// The package also defines the claim store behind the serving layer:
+// Claims, an append-only raw-claim store whose rows live on the heap and,
+// when it has a directory, are sealed incrementally into immutable on-disk
+// segments (package internal/segment) at checkpoint time, with zone-map
+// and bloom data skipping on every scoped scan through its lock-free View.
+// Sealing never changes the rows: identical AddRow order yields identical
+// Rows() order, so every dataset id and truth decision is independent of
+// how much of the corpus is sealed.
 package store

@@ -19,21 +19,31 @@ import (
 
 // Checkpoint file layout: one directory per checkpoint,
 //
-//	checkpoints/chk-<seq>/triples.csv   cumulative raw database
 //	checkpoints/chk-<seq>/quality.csv   accumulated source quality
-//	checkpoints/chk-<seq>/MANIFEST.json metadata + per-file CRCs
+//	checkpoints/chk-<seq>/posterior.csv published per-fact posterior
+//	checkpoints/chk-<seq>/MANIFEST.json metadata, per-file CRCs and the
+//	                                    segment refs covering the corpus
 //
 // written under a ".tmp-" name, fsynced, and renamed into place, so a
-// crash can never leave a half-written checkpoint under a valid name.
+// crash can never leave a half-written checkpoint under a valid name. The
+// corpus itself lives in the immutable segment files the manifest lists
+// (segments/seg-<id>.seg beside the log): segments are append-only across
+// checkpoints, so each checkpoint seals only the rows ingested since the
+// previous one.
 //
-// triples.csv is the recovery-critical file. quality.csv is for operators
-// and offline tooling (dataset.ReadQuality): recovery itself restores the
-// accumulator from the manifest's policy state, which carries the counts
-// at full float64 precision where the CSV rounds to 6 decimals.
-// posterior.csv (optional; present when the serving layer checkpoints a
-// published snapshot) carries the per-fact posterior at full precision so
-// recovery and followers can reconstruct the previous snapshot exactly —
-// what makes a replayed dirty refit bit-identical to the original.
+// quality.csv is for operators and offline tooling (dataset.ReadQuality):
+// recovery itself restores the accumulator from the manifest's policy
+// state, which carries the counts at full float64 precision where the CSV
+// rounds to 6 decimals. posterior.csv (optional; present when the serving
+// layer checkpoints a published snapshot) carries the per-fact posterior
+// at full precision so recovery and followers can reconstruct the previous
+// snapshot exactly — what makes a replayed dirty refit bit-identical to
+// the original.
+//
+// Data directories written before segments became the only format hold a
+// cumulative triples.csv in each checkpoint instead of segment refs.
+// Recovery still reads those (CRC-checked) once, to migrate them; nothing
+// writes the file any more.
 const (
 	manifestName   = "MANIFEST.json"
 	triplesName    = "triples.csv"
@@ -69,9 +79,11 @@ type Manifest struct {
 	FullRefits    int64 `json:"full_refits"`
 	DirtyRefits   int64 `json:"dirty_refits,omitempty"`
 	IngestedTotal int64 `json:"ingested_total"`
-	// TriplesCRC / QualityCRC are CRC32C checksums of the sibling files.
-	TriplesCRC uint32 `json:"triples_crc"`
+	// QualityCRC is the CRC32C checksum of quality.csv.
 	QualityCRC uint32 `json:"quality_crc"`
+	// TriplesCRC is the CRC32C of a legacy checkpoint's triples.csv; zero
+	// in every checkpoint written since segments became the only format.
+	TriplesCRC uint32 `json:"triples_crc,omitempty"`
 	// PosteriorCRC is the CRC32C of the optional posterior.csv; zero means
 	// the checkpoint carries no posterior (written before snapshot
 	// restoration existed, or the serving layer had nothing published).
@@ -85,14 +97,8 @@ type Manifest struct {
 	CreatedAt time.Time `json:"created_at"`
 	// Policy is the serving layer's opaque refit-policy state.
 	Policy json.RawMessage `json:"policy_state,omitempty"`
-	// Storage names the backend kind that wrote the checkpoint; empty
-	// means the classic memory path (triples.csv carries the corpus).
-	Storage string `json:"storage,omitempty"`
-	// Segments lists the immutable on-disk segments covering the corpus
-	// when Storage is "segments": the checkpoint then writes no
-	// triples.csv (TriplesCRC is zero) and recovery reopens the segments
-	// instead. Segments are append-only across checkpoints, so each
-	// checkpoint seals only the rows ingested since the previous one.
+	// Segments lists the immutable on-disk segments covering the corpus,
+	// contiguously from row 0, in order.
 	Segments []claimseg.Ref `json:"segments,omitempty"`
 }
 
@@ -132,18 +138,14 @@ func checkpointDirName(seq int64) string {
 	return fmt.Sprintf("%s%016d", chkPrefix, seq)
 }
 
-// Write persists a checkpoint: triples, quality and (optionally) the
-// posterior are produced by the given writers (CRCs are computed in-line
-// and recorded in the manifest; a nil posterior writer omits the file),
-// everything is fsynced in a temporary directory, and the directory is
-// atomically renamed into place. The parent directory is fsynced last, so
-// after Write returns the checkpoint survives power loss.
-//
-// A nil triples writer omits triples.csv (TriplesCRC stays zero): that is
-// the segment-backed shape, where the manifest's Segments list carries the
-// corpus coverage instead of a CSV copy — the O(history) rewrite the
-// memory path pays per checkpoint becomes O(new rows).
-func (st *Store) Write(m Manifest, triples, quality, posterior func(io.Writer) error) error {
+// Write persists a checkpoint: quality and (optionally) the posterior are
+// produced by the given writers (CRCs are computed in-line and recorded in
+// the manifest; a nil posterior writer omits the file), everything is
+// fsynced in a temporary directory, and the directory is atomically
+// renamed into place. The parent directory is fsynced last, so after
+// Write returns the checkpoint survives power loss. The segments m lists
+// must already be durable: the manifest only references them.
+func (st *Store) Write(m Manifest, quality, posterior func(io.Writer) error) error {
 	m.Format = manifestFormat
 	if m.CreatedAt.IsZero() {
 		m.CreatedAt = time.Now().UTC()
@@ -164,13 +166,6 @@ func (st *Store) Write(m Manifest, triples, quality, posterior func(io.Writer) e
 	}()
 
 	var err error
-	if triples != nil {
-		if m.TriplesCRC, err = writeFileCRC(filepath.Join(tmp, triplesName), triples); err != nil {
-			return err
-		}
-	} else {
-		m.TriplesCRC = 0
-	}
 	if m.QualityCRC, err = writeFileCRC(filepath.Join(tmp, qualityName), quality); err != nil {
 		return err
 	}
@@ -299,7 +294,28 @@ func (st *Store) Prune(retain int) ([]Checkpoint, error) {
 	return cps[len(cps)-retain:], nil
 }
 
-// ReadTriples loads and CRC-verifies the checkpoint's cumulative raw
+// SegmentRows checks that the manifest's segments cover the corpus
+// contiguously from row 0 and returns how many rows they cover.
+func (m Manifest) SegmentRows() (int, error) {
+	total := 0
+	for _, ref := range m.Segments {
+		if ref.FirstRow != total {
+			return 0, fmt.Errorf("wal: segment %d starts at row %d, want %d (coverage gap)", ref.ID, ref.FirstRow, total)
+		}
+		total += ref.Rows
+	}
+	return total, nil
+}
+
+// Legacy reports whether the manifest predates segments: its checkpoint
+// carries a cumulative triples.csv instead of segment refs. Every
+// checkpoint written since lists at least one segment, because a
+// checkpoint only follows a refit, and a refit needs at least one row.
+func (m Manifest) Legacy() bool {
+	return len(m.Segments) == 0
+}
+
+// ReadTriples loads and CRC-verifies a legacy checkpoint's cumulative raw
 // database. Row order is preserved, so the dataset built from it is
 // bit-identical to the one the checkpointed server had.
 func (c Checkpoint) ReadTriples() (*model.RawDB, error) {

@@ -10,20 +10,36 @@ import (
 
 	"latenttruth/internal/dataset"
 	"latenttruth/internal/model"
+	claimseg "latenttruth/internal/segment"
 )
 
-// writeTestCheckpoint writes a checkpoint whose triples are n batches of
-// testRows and returns the database it persisted.
-func writeTestCheckpoint(t *testing.T, st *Store, seq int64, walSeq uint64, n int) *model.RawDB {
-	t.Helper()
+// testQuality writes a one-source quality table.
+func testQuality(w io.Writer) error {
+	return dataset.WriteQuality(w, []model.SourceQuality{
+		{Source: "s1", Sensitivity: 0.9, Specificity: 0.8, Precision: 0.7, Accuracy: 0.6},
+	})
+}
+
+// testDB returns n batches of testRows as one raw database.
+func testDB(n int) *model.RawDB {
 	db := model.NewRawDB()
 	for i := 0; i < n; i++ {
 		for _, r := range testRows(i, 3) {
 			db.AddRow(r)
 		}
 	}
-	quality := []model.SourceQuality{
-		{Source: "s1", Sensitivity: 0.9, Specificity: 0.8, Precision: 0.7, Accuracy: 0.6},
+	return db
+}
+
+// writeTestCheckpoint writes a checkpoint whose manifest references one
+// segment sealed from n batches of testRows under segDir, and returns the
+// database it persisted.
+func writeTestCheckpoint(t *testing.T, st *Store, segDir string, seq int64, walSeq uint64, n int) *model.RawDB {
+	t.Helper()
+	db := testDB(n)
+	ref, err := claimseg.Write(segDir, uint64(seq), 0, db.Rows())
+	if err != nil {
+		t.Fatal(err)
 	}
 	m := Manifest{
 		Seq:           seq,
@@ -32,23 +48,52 @@ func writeTestCheckpoint(t *testing.T, st *Store, seq int64, walSeq uint64, n in
 		Refits:        seq,
 		IngestedTotal: int64(db.Len()),
 		Policy:        json.RawMessage(`{"batches":1}`),
+		Segments:      []claimseg.Ref{ref},
 	}
-	err := st.Write(m,
-		func(w io.Writer) error { return dataset.WriteTriples(w, db) },
-		func(w io.Writer) error { return dataset.WriteQuality(w, quality) },
-		nil)
-	if err != nil {
+	if err := st.Write(m, testQuality, nil); err != nil {
 		t.Fatalf("checkpoint write: %v", err)
 	}
 	return db
 }
 
-func TestCheckpointWriteReadRoundTrip(t *testing.T) {
-	st, err := OpenStore(filepath.Join(t.TempDir(), "checkpoints"))
+// writeLegacyCheckpoint writes a checkpoint in the pre-segment format: no
+// segment refs, the whole corpus in a CRC-pinned triples.csv.
+func writeLegacyCheckpoint(t *testing.T, st *Store, m Manifest, db *model.RawDB) {
+	t.Helper()
+	if err := st.Write(m, testQuality, nil); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(st.dir, checkpointDirName(m.Seq))
+	crc, err := writeFileCRC(filepath.Join(dir, triplesName), func(w io.Writer) error {
+		return dataset.WriteTriples(w, db)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := writeTestCheckpoint(t, st, 3, 17, 5)
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written Manifest
+	if err := json.Unmarshal(raw, &written); err != nil {
+		t.Fatal(err)
+	}
+	written.TriplesCRC = crc
+	if raw, err = json.Marshal(written); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCheckpointWriteReadRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(filepath.Join(dir, "checkpoints"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeTestCheckpoint(t, st, dir, 3, 17, 5)
 
 	cps, skipped, err := st.Checkpoints()
 	if err != nil || skipped != 0 || len(cps) != 1 {
@@ -58,20 +103,12 @@ func TestCheckpointWriteReadRoundTrip(t *testing.T) {
 	if cp.Manifest.Seq != 3 || cp.Manifest.WALSeq != 17 || cp.Manifest.Format != manifestFormat {
 		t.Fatalf("manifest %+v", cp.Manifest)
 	}
-	db, err := cp.ReadTriples()
-	if err != nil {
-		t.Fatal(err)
+	if cp.Manifest.Legacy() || len(cp.Manifest.Segments) != 1 || cp.Manifest.Segments[0].Rows != 15 {
+		t.Fatalf("segment refs %+v", cp.Manifest.Segments)
 	}
-	// Order-preserving round trip: recovery depends on identical row order
-	// for bit-identical dataset ids.
-	wr, gr := want.Rows(), db.Rows()
-	if len(wr) != len(gr) {
-		t.Fatalf("%d rows, want %d", len(gr), len(wr))
-	}
-	for i := range wr {
-		if wr[i] != gr[i] {
-			t.Fatalf("row %d: %+v, want %+v", i, gr[i], wr[i])
-		}
+	// The corpus lives in the segments: the checkpoint writes no CSV copy.
+	if _, err := os.Stat(filepath.Join(cp.Dir, triplesName)); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint has a %s (err=%v)", triplesName, err)
 	}
 	q, err := cp.ReadQuality()
 	if err != nil {
@@ -82,15 +119,35 @@ func TestCheckpointWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointCorruptTriplesDetected reads a legacy checkpoint: the
+// order-preserving round trip recovery's migration depends on, and a
+// flipped byte failing the CRC.
 func TestCheckpointCorruptTriplesDetected(t *testing.T) {
 	st, err := OpenStore(filepath.Join(t.TempDir(), "checkpoints"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeTestCheckpoint(t, st, 1, 5, 4)
+	want := testDB(4)
+	writeLegacyCheckpoint(t, st, Manifest{Seq: 1, WALSeq: 5}, want)
 	cps, _, err := st.Checkpoints()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !cps[0].Manifest.Legacy() {
+		t.Fatalf("legacy checkpoint not recognised: %+v", cps[0].Manifest)
+	}
+	db, err := cps[0].ReadTriples()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wr, gr := want.Rows(), db.Rows()
+	if len(wr) != len(gr) {
+		t.Fatalf("%d rows, want %d", len(gr), len(wr))
+	}
+	for i := range wr {
+		if wr[i] != gr[i] {
+			t.Fatalf("row %d: %+v, want %+v", i, gr[i], wr[i])
+		}
 	}
 	path := filepath.Join(cps[0].Dir, triplesName)
 	data, err := os.ReadFile(path)
@@ -107,12 +164,13 @@ func TestCheckpointCorruptTriplesDetected(t *testing.T) {
 }
 
 func TestCheckpointPruneKeepsNewest(t *testing.T) {
-	st, err := OpenStore(filepath.Join(t.TempDir(), "checkpoints"))
+	dir := t.TempDir()
+	st, err := OpenStore(filepath.Join(dir, "checkpoints"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seq := int64(1); seq <= 5; seq++ {
-		writeTestCheckpoint(t, st, seq, uint64(seq*10), 2)
+		writeTestCheckpoint(t, st, dir, seq, uint64(seq*10), 2)
 	}
 	left, err := st.Prune(2)
 	if err != nil {

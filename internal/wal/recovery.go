@@ -10,9 +10,9 @@ import (
 	claimseg "latenttruth/internal/segment"
 )
 
-// Layout of a data directory: the log, the checkpoints and (for the
-// segment storage kind) the sealed claim segments live side by side so
-// one -data-dir flag carries everything.
+// Layout of a data directory: the log, the checkpoints and the sealed
+// claim segments live side by side so one -data-dir flag carries
+// everything.
 const (
 	logSubdir        = "wal"
 	checkpointSubdir = "checkpoints"
@@ -86,15 +86,15 @@ type Recovered struct {
 	// Checkpoint is the checkpoint recovery loaded, nil on cold start.
 	Checkpoint *Checkpoint
 	// DB is the cumulative raw database from the checkpoint (empty on cold
-	// start), in original insertion order — whether it was read back from
-	// triples.csv or reconstructed from segments.
+	// start), in original insertion order.
 	DB *model.RawDB
-	// Storage is the backend kind the loaded checkpoint was written by
-	// ("" or "memory": triples.csv; "segments": the Segments list below).
-	Storage string
-	// Segments lists the verified segment refs the checkpoint covers the
-	// corpus with (nil for memory checkpoints and cold starts).
-	Segments []claimseg.Ref
+	// Segments are the checkpoint's segments, opened once and fully
+	// verified, covering DB's rows contiguously from row 0 (nil for cold
+	// starts and legacy checkpoints). The caller owns them.
+	Segments []*claimseg.Segment
+	// Legacy is set when the loaded checkpoint predates segments: DB was
+	// read from its triples.csv and no row is sealed yet.
+	Legacy bool
 	// Tail is the acknowledged-but-not-checkpointed batch suffix: every
 	// log record with a sequence number above the checkpoint's coverage.
 	Tail []Batch
@@ -139,27 +139,26 @@ func Recover(dataDir string, opts Options) (*Recovered, error) {
 	}
 	rec.Stats.CheckpointsSkipped = skipped
 	for i := len(cps) - 1; i >= 0; i-- {
+		cp := cps[i]
 		var db *model.RawDB
+		var segs []*claimseg.Segment
 		var rerr error
-		if cps[i].Manifest.Storage == "segments" {
-			// Segment checkpoints carry no triples.csv: the corpus is
-			// reopened from the immutable segments the manifest lists,
-			// every page CRC-verified before a single row is trusted.
-			db, rerr = loadSegmentDB(SegmentDir(dataDir), cps[i].Manifest.Segments)
+		if cp.Manifest.Legacy() {
+			db, rerr = cp.ReadTriples()
 		} else {
-			db, rerr = cps[i].ReadTriples()
+			// The corpus is reopened from the immutable segments the
+			// manifest lists, every page CRC-verified before a single
+			// row is trusted.
+			db, segs, rerr = loadSegments(SegmentDir(dataDir), cp.Manifest)
 		}
 		if rerr != nil {
 			rec.Stats.CheckpointsSkipped++
 			continue
 		}
-		cp := cps[i]
 		rec.Checkpoint = &cp
 		rec.DB = db
-		if cp.Manifest.Storage != "" {
-			rec.Storage = cp.Manifest.Storage
-		}
-		rec.Segments = cp.Manifest.Segments
+		rec.Segments = segs
+		rec.Legacy = cp.Manifest.Legacy()
 		break
 	}
 	// A directory that HAD checkpoints but where none is readable is not a
@@ -187,6 +186,7 @@ func Recover(dataDir string, opts Options) (*Recovered, error) {
 		return nil
 	}); err != nil {
 		log.Close()
+		closeSegments(rec.Segments)
 		return nil, err
 	}
 	// The same partial-state guard for a checkpoint-less directory: if the
@@ -201,36 +201,47 @@ func Recover(dataDir string, opts Options) (*Recovered, error) {
 	return rec, nil
 }
 
-// loadSegmentDB reconstructs the raw database from a checkpoint's segment
+// loadSegments reconstructs the raw database from a manifest's segment
 // refs: contiguous global-index coverage is enforced, every segment is
-// opened (CRC-verifying all pages) and decoded into its index range, and
-// the rows are re-added in insertion order — so the rebuilt RawDB is
-// bit-identical to the one the checkpointing server held.
-func loadSegmentDB(dir string, refs []claimseg.Ref) (*model.RawDB, error) {
-	total := 0
-	for _, ref := range refs {
-		if ref.FirstRow != total {
-			return nil, fmt.Errorf("wal: segment %d starts at row %d, want %d (coverage gap)", ref.ID, ref.FirstRow, total)
+// opened once (CRC-verifying all pages and its identity against the ref)
+// and decoded into its index range, and the rows are re-added in insertion
+// order — so the rebuilt RawDB is bit-identical to the one the
+// checkpointing server held. The open segments are returned for the claim
+// store to adopt; on error every one opened so far is closed.
+func loadSegments(dir string, m Manifest) (_ *model.RawDB, segs []*claimseg.Segment, err error) {
+	defer func() {
+		if err != nil {
+			closeSegments(segs)
+			segs = nil
 		}
-		total += ref.Rows
+	}()
+	total, err := m.SegmentRows()
+	if err != nil {
+		return nil, nil, err
 	}
 	rows := make([]model.Row, total)
-	for _, ref := range refs {
+	for _, ref := range m.Segments {
 		s, err := claimseg.Open(dir, ref)
 		if err != nil {
-			return nil, err
+			return nil, segs, err
 		}
-		rerr := s.ReadRows(rows)
-		s.Close()
-		if rerr != nil {
-			return nil, rerr
+		segs = append(segs, s)
+		if err := s.ReadRows(rows); err != nil {
+			return nil, segs, err
 		}
 	}
 	db := model.NewRawDB()
 	for i, r := range rows {
 		if !db.AddRow(r) {
-			return nil, fmt.Errorf("wal: segment row %d is a duplicate; segments are corrupt or mismatched", i)
+			return nil, segs, fmt.Errorf("wal: segment row %d is a duplicate; segments are corrupt or mismatched", i)
 		}
 	}
-	return db, nil
+	return db, segs, nil
+}
+
+// closeSegments releases segment mappings on an error path.
+func closeSegments(segs []*claimseg.Segment) {
+	for _, s := range segs {
+		s.Close()
+	}
 }

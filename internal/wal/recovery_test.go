@@ -1,12 +1,13 @@
 package wal
 
 import (
-	"io"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
-	"latenttruth/internal/dataset"
 	"latenttruth/internal/model"
+	claimseg "latenttruth/internal/segment"
 )
 
 func TestRecoverColdStart(t *testing.T) {
@@ -24,8 +25,9 @@ func TestRecoverColdStart(t *testing.T) {
 }
 
 // buildDurableState appends nBatches to a fresh data dir, checkpoints the
-// first ckptBatches of them at snapshot seq 1, and closes the log — the
-// on-disk shape after "refit then more ingest then crash".
+// first ckptBatches of them at snapshot seq 1 (sealed as one segment), and
+// closes the log — the on-disk shape after "refit then more ingest then
+// crash".
 func buildDurableState(t *testing.T, dataDir string, nBatches, ckptBatches int) []Batch {
 	t.Helper()
 	rec, err := Recover(dataDir, Options{Sync: SyncNever})
@@ -42,25 +44,39 @@ func buildDurableState(t *testing.T, dataDir string, nBatches, ckptBatches int) 
 		batches = append(batches, Batch{Seq: seq, Rows: rows})
 	}
 	if ckptBatches > 0 {
-		db := model.NewRawDB()
-		for _, b := range batches[:ckptBatches] {
-			for _, r := range b.Rows {
-				db.AddRow(r)
-			}
-		}
-		m := Manifest{Seq: 1, WALSeq: batches[ckptBatches-1].Seq, IngestedTotal: int64(3 * ckptBatches)}
-		err := rec.Store.Write(m,
-			func(w io.Writer) error { return dataset.WriteTriples(w, db) },
-			func(w io.Writer) error {
-				return dataset.WriteQuality(w, []model.SourceQuality{{Source: "s", Sensitivity: 1, Specificity: 1, Precision: 1, Accuracy: 1}})
-			},
-			nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sealCheckpoint(t, dataDir, rec.Store, 1, nil, batches[:ckptBatches])
 	}
 	rec.Log.Close()
 	return batches
+}
+
+// sealCheckpoint seals the rows of batches (which follow the rows prior
+// covers) into one new segment and writes checkpoint seq referencing
+// prior plus it, covering the log up to the last batch. It returns the
+// checkpoint's refs.
+func sealCheckpoint(t *testing.T, dataDir string, st *Store, seq int64, prior []claimseg.Ref, batches []Batch) []claimseg.Ref {
+	t.Helper()
+	first := 0
+	for _, ref := range prior {
+		first += ref.Rows
+	}
+	var rows []model.Row
+	for _, b := range batches {
+		rows = append(rows, b.Rows...)
+	}
+	if err := os.MkdirAll(SegmentDir(dataDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := claimseg.Write(SegmentDir(dataDir), uint64(seq), first, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := append(append([]claimseg.Ref(nil), prior...), ref)
+	m := Manifest{Seq: seq, WALSeq: batches[len(batches)-1].Seq, IngestedTotal: int64(first + len(rows)), Segments: refs}
+	if err := st.Write(m, testQuality, nil); err != nil {
+		t.Fatal(err)
+	}
+	return refs
 }
 
 func TestRecoverCheckpointPlusTail(t *testing.T) {
@@ -81,6 +97,11 @@ func TestRecoverCheckpointPlusTail(t *testing.T) {
 	if rec.DB.Len() != 3*4 {
 		t.Fatalf("checkpoint db has %d rows, want %d", rec.DB.Len(), 12)
 	}
+	// The segments come back open, once, for the claim store to adopt.
+	if len(rec.Segments) != 1 || rec.Segments[0].Ref().Rows != 12 || rec.Legacy {
+		t.Fatalf("recovered segments %d (legacy=%v)", len(rec.Segments), rec.Legacy)
+	}
+	closeSegments(rec.Segments)
 	mustEqualBatches(t, rec.Tail, batches[4:])
 	if rec.Stats.ReplayedBatches != 3 || rec.Stats.ReplayedRows != 9 {
 		t.Fatalf("replay stats %+v", rec.Stats)
@@ -111,24 +132,10 @@ func TestRecoverFallsBackToOlderCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	batches := buildDurableState(t, dir, 6, 3)
 
-	// Add a newer checkpoint covering batch 5, then corrupt its triples:
-	// recovery must fall back to the older one and replay from ITS seq.
+	// Add a newer checkpoint sealing batches 4-5 into a second segment,
+	// then corrupt that segment: recovery must fall back to the older
+	// checkpoint (whose refs are a prefix) and replay from ITS seq.
 	st, err := OpenStore(CheckpointDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := model.NewRawDB()
-	for _, b := range batches[:5] {
-		for _, r := range b.Rows {
-			db.AddRow(r)
-		}
-	}
-	err = st.Write(Manifest{Seq: 2, WALSeq: 5},
-		func(w io.Writer) error { return dataset.WriteTriples(w, db) },
-		func(w io.Writer) error {
-			return dataset.WriteQuality(w, []model.SourceQuality{{Source: "s", Sensitivity: 1, Specificity: 1, Precision: 1, Accuracy: 1}})
-		},
-		nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +143,8 @@ func TestRecoverFallsBackToOlderCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newest := cps[len(cps)-1]
-	if err := os.Truncate(newest.Dir+"/"+triplesName, 10); err != nil {
-		t.Fatal(err)
-	}
+	refs := sealCheckpoint(t, dir, st, 2, cps[0].Manifest.Segments, batches[3:5])
+	flipPageByte(t, filepath.Join(SegmentDir(dir), refs[1].Filename()))
 
 	rec, err := Recover(dir, Options{Sync: SyncNever})
 	if err != nil {
@@ -192,8 +197,10 @@ func TestRecoverRefusesPartialState(t *testing.T) {
 		t.Fatalf("no checkpoints (err=%v)", err)
 	}
 	for _, cp := range cps {
-		if err := os.Truncate(cp.Dir+"/"+triplesName, 3); err != nil {
-			t.Fatal(err)
+		for _, ref := range cp.Manifest.Segments {
+			if err := os.Truncate(filepath.Join(SegmentDir(dir), ref.Filename()), 3); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if _, err := Recover(dir, Options{Sync: SyncNever}); err == nil {
@@ -215,4 +222,105 @@ func TestRecoverRefusesPartialState(t *testing.T) {
 	if _, err := Recover(dir2, Options{SegmentBytes: 4 << 10, Sync: SyncNever}); err == nil {
 		t.Fatal("Recover served a log with a missing prefix and no checkpoint")
 	}
+}
+
+// flipPageByte flips one bit of the first page of the segment at path.
+func flipPageByte(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverRefusesBadSegments corrupts the only checkpoint's segment
+// coverage in each way the loader guards against; every one must leave no
+// readable checkpoint, so recovery refuses instead of serving a partial or
+// corrupt corpus.
+func TestRecoverRefusesBadSegments(t *testing.T) {
+	for name, corrupt := range map[string]func(t *testing.T, dir string, refs []claimseg.Ref) []claimseg.Ref{
+		"page_crc": func(t *testing.T, dir string, refs []claimseg.Ref) []claimseg.Ref {
+			flipPageByte(t, filepath.Join(SegmentDir(dir), refs[0].Filename()))
+			return refs
+		},
+		"missing_file": func(t *testing.T, dir string, refs []claimseg.Ref) []claimseg.Ref {
+			if err := os.Remove(filepath.Join(SegmentDir(dir), refs[1].Filename())); err != nil {
+				t.Fatal(err)
+			}
+			return refs
+		},
+		"coverage_gap": func(t *testing.T, dir string, refs []claimseg.Ref) []claimseg.Ref {
+			return refs[1:]
+		},
+		"ref_identity": func(t *testing.T, dir string, refs []claimseg.Ref) []claimseg.Ref {
+			bad := append([]claimseg.Ref(nil), refs...)
+			bad[1].CRC ^= 1
+			return bad
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			batches := buildDurableState(t, dir, 6, 3)
+			st, err := OpenStore(CheckpointDir(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cps, _, err := st.Checkpoints()
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs := sealCheckpoint(t, dir, st, 2, cps[0].Manifest.Segments, batches[3:])
+			if err := os.RemoveAll(cps[0].Dir); err != nil { // no fallback
+				t.Fatal(err)
+			}
+			m := Manifest{Seq: 3, WALSeq: 6, Segments: corrupt(t, dir, refs)}
+			if err := st.Write(m, testQuality, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.RemoveAll(filepath.Join(CheckpointDir(dir), checkpointDirName(2))); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Recover(dir, Options{Sync: SyncNever}); err == nil ||
+				!strings.Contains(err.Error(), "no readable checkpoint") {
+				t.Fatalf("Recover over %s: %v", name, err)
+			}
+		})
+	}
+}
+
+// TestRecoverMigratesLegacyCheckpoint opens a directory written before
+// segments: the corpus comes back from the CRC-checked triples.csv in
+// insertion order, flagged for migration, with nothing sealed.
+func TestRecoverMigratesLegacyCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	rec, err := Recover(dir, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := appendBatches(t, rec.Log, 0, 5)
+	db := model.NewRawDB()
+	for _, b := range batches[:3] {
+		for _, r := range b.Rows {
+			db.AddRow(r)
+		}
+	}
+	writeLegacyCheckpoint(t, rec.Store, Manifest{Seq: 1, WALSeq: 3}, db)
+	rec.Log.Close()
+
+	rec, err = Recover(dir, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Log.Close()
+	if !rec.Legacy || rec.Segments != nil || rec.Stats.CheckpointSeq != 1 {
+		t.Fatalf("legacy recovery: legacy=%v segments=%d stats %+v", rec.Legacy, len(rec.Segments), rec.Stats)
+	}
+	if got, want := rec.DB.Rows(), db.Rows(); len(got) != len(want) || got[0] != want[0] || got[len(got)-1] != want[len(want)-1] {
+		t.Fatalf("legacy corpus: %d rows, want %d in insertion order", len(got), len(want))
+	}
+	mustEqualBatches(t, rec.Tail, batches[3:])
 }

@@ -80,9 +80,9 @@ type (
 // Deprecated: construct corpora through the storage API instead —
 // NewMemoryStorage().AddRow(...) then BuildDatasetRows(st.Rows()) — which
 // is the same duplicate-free insertion-order substrate the serving layer
-// runs on, works with both storage kinds, and exposes scoped scans via
-// Reader(). RawDB remains the in-memory representation (ReadTriples still
-// returns one); only direct construction is deprecated.
+// runs on and exposes scoped scans via Reader(). RawDB remains the
+// in-memory representation (ReadTriples still returns one); only direct
+// construction is deprecated.
 func NewRawDB() *RawDB { return model.NewRawDB() }
 
 // BuildDataset derives the fact and claim tables from a raw database,
@@ -91,7 +91,7 @@ func BuildDataset(db *RawDB) *Dataset { return model.Build(db) }
 
 // BuildDatasetRows derives the fact and claim tables straight from an
 // insertion-ordered, duplicate-free row sequence — typically
-// StorageBackend.Rows(). Equivalent to BuildDataset over a RawDB holding
+// ClaimStore.Rows(). Equivalent to BuildDataset over a RawDB holding
 // the same rows in the same order.
 func BuildDatasetRows(rows []Row) *Dataset { return model.BuildRows(rows) }
 
@@ -349,46 +349,29 @@ const (
 // been ingested.
 var ErrNoServeData = serve.ErrNoData
 
-// Claim storage (the backend API a TruthServer runs on, selected by
-// ServeConfig.Storage / the truthserve -storage flag).
+// Claim storage (the store a TruthServer runs on).
 type (
-	// StorageBackend is the claim-store API behind the serving layer: an
+	// ClaimStore is the claim store behind the serving layer: an
 	// append-only, duplicate-free raw-claim store with an insertion-order
-	// row view and lock-free point-in-time readers. Both implementations
-	// honor a bit-identity promise — the same AddRow order yields the same
-	// Rows() sequence, so every derived truth decision is
-	// backend-independent.
-	StorageBackend = store.Backend
+	// row view and lock-free point-in-time readers. A durable TruthServer
+	// seals its rows into immutable, checksummed on-disk segments at every
+	// checkpoint; sealing never changes Rows(), so every derived truth
+	// decision is the same whether or not a store has sealed.
+	ClaimStore = store.Claims
 	// StorageReader is one immutable row snapshot supporting scoped scans
-	// (by entity set, entity range, or source). On the segment backend the
-	// scans consult per-segment zone maps and bloom filters to skip
-	// segments that cannot match.
-	StorageReader = store.Reader
-	// SegmentStats reports a backend's shape: resident vs on-disk row
+	// (by entity set, entity range, or source). Over sealed rows the scans
+	// consult per-segment zone maps and bloom filters to skip segments
+	// that cannot match.
+	StorageReader = store.View
+	// SegmentStats reports a store's shape: resident vs on-disk row
 	// counts, segment count and bytes, and the data-skipping counters.
 	SegmentStats = store.StorageStats
 )
 
-// The available storage kinds for ServeConfig.Storage: heap-resident
-// rows (the default), or heap rows backed by immutable on-disk segments
-// sealed at checkpoint time — recovery then reopens the CRC-verified
-// segments and replays only the short WAL tail instead of re-reading the
-// whole corpus from CSV.
-const (
-	StorageMemory   = store.StorageMemory
-	StorageSegments = store.StorageSegments
-)
-
-// NewMemoryStorage returns the heap-resident claim store. Use it (with
-// BuildDatasetRows) anywhere a raw corpus is assembled row by row.
-func NewMemoryStorage() StorageBackend { return store.NewMemory() }
-
-// NewSegmentStorage returns a claim store that seals its rows into
-// immutable, checksummed segments under dir when Seal is called (the
-// serving layer does this at checkpoint time). Library users who only
-// need an in-process corpus should prefer NewMemoryStorage; segment
-// storage earns its keep under a durable TruthServer.
-func NewSegmentStorage(dir string) StorageBackend { return store.NewSegmentBacked(dir) }
+// NewMemoryStorage returns a claim store without a directory: it keeps
+// its rows on the heap and never seals. Use it (with BuildDatasetRows)
+// anywhere a raw corpus is assembled row by row.
+func NewMemoryStorage() *ClaimStore { return store.New("") }
 
 // Streaming queries (the lazy snapshot query engine behind GET /truth and
 // GET /records — composable iterators with predicate pushdown, stable
@@ -650,7 +633,7 @@ func ReadTriples(r io.Reader) (*RawDB, error) { return dataset.ReadTriples(r) }
 func WriteTriples(w io.Writer, db *RawDB) error { return dataset.WriteTriples(w, db) }
 
 // WriteTriplesRows is WriteTriples over a bare row slice — typically
-// StorageBackend.Rows().
+// ClaimStore.Rows().
 func WriteTriplesRows(w io.Writer, rows []Row) error { return dataset.WriteTriplesRows(w, rows) }
 
 // ReadLabels applies a labels CSV (entity,attribute,truth) to a dataset.
