@@ -998,7 +998,6 @@ func dirtyBenchSetup(b *testing.B) *latenttruth.TruthServer {
 			Policy:        latenttruth.RefitDirty,
 			FullEvery:     1 << 30, // dirty refits only; the anchor is explicit
 			RefitInterval: -1,
-			Shards:        8,
 		})
 		if err != nil {
 			dirtyBench.err = err

@@ -326,9 +326,7 @@ func newReferenceServer(t *testing.T, cfg serve.Config) string {
 func TestClusterEquivalence(t *testing.T) {
 	corpus := clusterCorpus(t)
 	batches := chunkRows(positiveClaimRows(corpus.Dataset), 3)
-	policies := []serve.RefitPolicy{
-		serve.RefitFull, serve.RefitIncremental, serve.RefitOnline, serve.RefitDirty,
-	}
+	policies := []serve.RefitPolicy{serve.RefitFull, serve.RefitDirty}
 	for _, k := range []int{1, 2, 4} {
 		for _, policy := range policies {
 			t.Run(fmt.Sprintf("k%d_%s", k, policy), func(t *testing.T) {

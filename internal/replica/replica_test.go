@@ -108,7 +108,7 @@ func waitSnapshotSeq(t *testing.T, f *Follower, seq int64) *serve.Snapshot {
 	t.Helper()
 	waitFor(t, fmt.Sprintf("follower snapshot seq %d", seq), func() bool {
 		sn := f.Server().Snapshot()
-		return sn != nil && sn.Seq >= seq && sn.Mode != serve.RefitIncremental
+		return sn != nil && sn.Seq >= seq
 	})
 	return f.Server().Snapshot()
 }
@@ -153,7 +153,7 @@ func mustEqualSnapshots(t *testing.T, got, want *serve.Snapshot) {
 func TestFollowerBitIdenticalTruth(t *testing.T) {
 	prim, ts := newPrimary(t, t.TempDir())
 	ingestRefit(t, prim, 0)
-	ingestRefit(t, prim, 1)
+	boot := ingestRefit(t, prim, 1)
 
 	f, err := Start(followerConfig(ts.URL, t.TempDir()))
 	if err != nil {
@@ -163,9 +163,9 @@ func TestFollowerBitIdenticalTruth(t *testing.T) {
 	if st := f.Stats(); !st.Bootstrapped || st.BootstrapSeq != 2 {
 		t.Fatalf("bootstrap stats %+v, want bootstrapped at seq 2", st)
 	}
-	// The bootstrap state serves immediately (the LTMinc posterior from
-	// the checkpointed quality) while the follower catches up.
-	waitFor(t, "warm bootstrap snapshot", func() bool { return f.Server().Snapshot() != nil })
+	// The bootstrap state serves immediately: the checkpointed snapshot,
+	// restored from its posterior, is the primary's snapshot 2 bit for bit.
+	mustEqualSnapshots(t, waitSnapshotSeq(t, f, boot.Seq), boot)
 
 	// Each primary refit ships a marker; the follower's replayed snapshot
 	// must match the primary's bit for bit, seq for seq.

@@ -99,8 +99,7 @@ func configHash(c Config) string {
 	for _, name := range names {
 		fmt.Fprintf(h, "src:%q=%v|", name, ltm.SourcePriors[name])
 	}
-	fmt.Fprintf(h, "threshold=%v|policy=%s|fullevery=%d|shards=%d|sync=%d",
-		c.Threshold, c.Policy, c.FullEvery, c.Shards, c.SyncEvery)
+	fmt.Fprintf(h, "threshold=%v|policy=%s|fullevery=%d", c.Threshold, c.Policy, c.FullEvery)
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
@@ -177,7 +176,6 @@ func (s *Server) openDurable() error {
 				rec.Log.Close()
 				return fmt.Errorf("serve: checkpoint %d policy state: %w", m.Seq, err)
 			}
-			online.SetSharding(s.cfg.Shards, s.cfg.SyncEvery)
 			s.online = online
 		}
 	}
@@ -201,11 +199,17 @@ func (s *Server) openDurable() error {
 	// Restore the published snapshot from the checkpoint's posterior before
 	// replaying the tail, so a refit marker replayed below (or the first
 	// dirty refit after startup) extends the exact previous posterior the
-	// checkpointed process had published. Requires restored policy state:
-	// without the accumulator the posterior alone cannot continue the
-	// fast-path refit chain, and the next (full) refit rebuilds everything.
+	// checkpointed process had published. This is also how a bootstrapped
+	// follower serves before the primary's next refit. Requires restored
+	// policy state: without the accumulator the posterior alone cannot
+	// continue the dirty refit chain, and the next (full) refit rebuilds
+	// everything. A snapshot published by a removed policy is not restored
+	// either: it is not a posterior either remaining policy extends.
 	if cp := rec.Checkpoint; cp != nil && s.online != nil {
-		if err := s.restoreSnapshot(cp); err != nil {
+		if mode := RefitPolicy(cp.Manifest.Mode); removedPolicies[mode] {
+			s.warnf("serve: checkpoint %d was published by removed refit policy %q; not restoring its snapshot (next refit is full)",
+				cp.Manifest.Seq, mode)
+		} else if err := s.restoreSnapshot(cp); err != nil {
 			s.warnf("serve: checkpoint %d: restoring published snapshot: %v (serving resumes at the next refit)",
 				cp.Manifest.Seq, err)
 		}
@@ -217,13 +221,10 @@ func (s *Server) openDurable() error {
 		// re-running it here reproduces the exact post-refit state — and
 		// re-attempts the missing checkpoint.
 		if ov, _, ok := parseRefitNote(b); ok {
-			if _, err := s.refit(ov, false); err != nil && err != ErrNoData {
+			if _, err := s.refit(s.replayPolicy(ov, b.Seq), false); err != nil && err != ErrNoData {
 				s.warnf("serve: recovery: replaying refit marker seq=%d: %v", b.Seq, err)
 			}
 		}
-	}
-	if err := s.bootstrapFollowerSnapshot(); err != nil {
-		s.warnf("serve: follower bootstrap snapshot: %v", err)
 	}
 	if rec.Stats.ColdStart {
 		s.logf("serve: durability on (%s, fsync=%s): cold start", dcfg.DataDir, dcfg.Fsync)
@@ -256,12 +257,8 @@ func (s *Server) restoreSnapshot(cp *wal.Checkpoint) error {
 	}
 	m := cp.Manifest
 	// Dirty snapshots inherit the method label of the full anchor whose
-	// posterior they extend, so only the closed-form policies report LTMinc.
-	method := "LTM"
-	if mode := RefitPolicy(m.Mode); mode == RefitIncremental || mode == RefitOnline {
-		method = "LTMinc"
-	}
-	snap, err := newSnapshot(m.Seq, ds, &model.Result{Method: method, Prob: prob},
+	// posterior they extend, so every restored snapshot reports LTM.
+	snap, err := newSnapshot(m.Seq, ds, &model.Result{Method: "LTM", Prob: prob},
 		core.RankedQuality(s.online.Quality()), s.cfg.Threshold, RefitPolicy(m.Mode), 0, 0, 0, nil)
 	if err != nil {
 		return err

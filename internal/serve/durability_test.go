@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"log"
 	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -135,7 +138,7 @@ func TestDurableColdStartMatchesMemoryServer(t *testing.T) {
 // second batch acknowledged but uncompacted, restart, refit — and compare
 // against an uninterrupted run of the identical schedule.
 func TestDurableRestartBitIdentical(t *testing.T) {
-	for _, policy := range []RefitPolicy{RefitFull, RefitIncremental, RefitOnline} {
+	for _, policy := range []RefitPolicy{RefitFull, RefitDirty} {
 		t.Run(string(policy), func(t *testing.T) {
 			dir := t.TempDir()
 
@@ -151,9 +154,9 @@ func TestDurableRestartBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Refits 1..3 happen before the crash so the incremental and
-			// online policies are past their initial full fit and have real
-			// accumulated quality in the checkpoint.
+			// Refits 1..3 happen before the crash so the dirty policy is
+			// past its initial full fit and has real accumulated quality in
+			// the checkpoint.
 			for r := 0; r < 3; r++ {
 				mustIngest(t, a, batchRows(r))
 				mustIngest(t, ref, batchRows(r))
@@ -250,7 +253,7 @@ func TestDurableRecoveryAfterTornTail(t *testing.T) {
 
 func TestDurableConfigChangeDropsQualityKeepsData(t *testing.T) {
 	dir := t.TempDir()
-	a, err := New(durableConfig(RefitIncremental, dir))
+	a, err := New(durableConfig(RefitDirty, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +264,7 @@ func TestDurableConfigChangeDropsQualityKeepsData(t *testing.T) {
 	claims := a.Snapshot().Stats.Claims
 	crash(a)
 
-	cfg := durableConfig(RefitIncremental, dir)
+	cfg := durableConfig(RefitDirty, dir)
 	cfg.LTM = core.Config{Iterations: 60, Seed: 9} // different model config
 	b, err := New(cfg)
 	if err != nil {
@@ -317,13 +320,16 @@ func TestIngestIsAllOrNothing(t *testing.T) {
 }
 
 // TestDurableRecoveryProperty drives random batch/refit sequences under
-// random policies and asserts recover(checkpoint, walTail) reproduces the
-// in-memory state bit-identically for every one of them.
+// both policies and asserts recover(checkpoint, walTail) reproduces the
+// in-memory state bit-identically for every one of them. Two trials in
+// three run dirty, whose schedule mixes dirty and full refits.
 func TestDurableRecoveryProperty(t *testing.T) {
-	policies := []RefitPolicy{RefitFull, RefitIncremental, RefitOnline}
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		policy := policies[trial%len(policies)]
+		policy := RefitDirty
+		if trial%3 == 0 {
+			policy = RefitFull
+		}
 		t.Run(fmt.Sprintf("trial%d_%s", trial, policy), func(t *testing.T) {
 			dir := t.TempDir()
 			a, err := New(durableConfig(policy, dir))
@@ -488,4 +494,179 @@ func TestNewRejectsBadFsyncPolicy(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("expected error for bogus fsync policy")
 	}
+}
+
+// TestRemovedPolicyReplaysAsFull: data written under a refit policy that
+// no longer exists ("incremental", "online") still opens and replicates.
+// A refit marker naming one — in a recovered WAL tail or arriving through
+// ApplyReplicated — replays as a full refit with one warn line naming the
+// policy, and a checkpoint whose snapshot such a policy published restores
+// no snapshot, so the next refit is full. Each case must end bit-identical
+// to a reference server that ran Refit(RefitFull) at that point, and keep
+// in lockstep on the dirty refit after it.
+func TestRemovedPolicyReplaysAsFull(t *testing.T) {
+	// Each path brings a server to the state right after batches 0 and 1,
+	// with the removed-policy event folding batch 1.
+	recovery := func(t *testing.T, removed RefitPolicy, logger *log.Logger) *Server {
+		dir := t.TempDir()
+		a, err := New(durableConfig(RefitDirty, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustIngest(t, a, batchRows(0))
+		mustRefit(t, a)
+		mustIngest(t, a, batchRows(1))
+		// An older primary drained batch 1 under the removed policy and
+		// crashed before the checkpoint: the marker is in the WAL tail.
+		if _, err := a.dur.log.AppendNote(refitNote(removed, distinctEntities(batchRows(1)))); err != nil {
+			t.Fatal(err)
+		}
+		crash(a)
+		cfg := durableConfig(RefitDirty, dir)
+		cfg.Logger = logger
+		b, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	follower := func(t *testing.T, removed RefitPolicy, logger *log.Logger) *Server {
+		cfg := durableConfig(RefitDirty, t.TempDir())
+		cfg.FollowerOf = "http://primary.invalid"
+		cfg.Logger = logger
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []wal.Batch{
+			{Seq: 1, Rows: batchRows(0)},
+			{Seq: 2, Note: refitNote("", distinctEntities(batchRows(0)))},
+			{Seq: 3, Rows: batchRows(1)},
+			{Seq: 4, Note: refitNote(removed, distinctEntities(batchRows(1)))},
+		} {
+			if err := f.ApplyReplicated(b); err != nil {
+				t.Fatalf("apply seq %d: %v", b.Seq, err)
+			}
+		}
+		return f
+	}
+	manifest := func(t *testing.T, removed RefitPolicy, logger *log.Logger) *Server {
+		dir := t.TempDir()
+		a, err := New(durableConfig(RefitDirty, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustIngest(t, a, batchRows(0))
+		mustRefit(t, a)
+		crash(a)
+		// Relabel the checkpoint as if the removed policy had published it.
+		cps, err := os.ReadDir(wal.CheckpointDir(dir))
+		if err != nil || len(cps) != 1 {
+			t.Fatalf("checkpoints: %v (err=%v)", cps, err)
+		}
+		path := filepath.Join(wal.CheckpointDir(dir), cps[0].Name(), "MANIFEST.json")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m wal.Manifest
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		m.Mode = string(removed)
+		if raw, err = json.Marshal(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := durableConfig(RefitDirty, dir)
+		cfg.Logger = logger
+		b, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Snapshot() != nil {
+			t.Fatalf("restored a snapshot published by %q", removed)
+		}
+		mustIngest(t, b, batchRows(1))
+		if sn := mustRefit(t, b); sn.Mode != RefitFull {
+			t.Fatalf("first refit after the unrestored checkpoint ran %q, want full", sn.Mode)
+		}
+		return b
+	}
+	paths := []struct {
+		name string
+		open func(t *testing.T, removed RefitPolicy, logger *log.Logger) *Server
+	}{{"recovery", recovery}, {"follower", follower}, {"manifest", manifest}}
+	for _, removed := range []RefitPolicy{"incremental", "online"} {
+		for _, p := range paths {
+			t.Run(p.name+"_"+string(removed), func(t *testing.T) {
+				testRemovedPolicyPath(t, removed, p.open)
+			})
+		}
+	}
+}
+
+// testRemovedPolicyPath opens a server through one removed-policy path and
+// checks it against a reference that ran Refit(RefitFull) at that point.
+func testRemovedPolicyPath(t *testing.T, removed RefitPolicy,
+	open func(*testing.T, RefitPolicy, *log.Logger) *Server) {
+	var logs bytes.Buffer
+	s := open(t, removed, log.New(&logs, "", 0))
+	defer s.Close()
+
+	ref, err := New(testConfig(RefitDirty))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	mustIngest(t, ref, batchRows(0))
+	mustRefit(t, ref)
+	mustIngest(t, ref, batchRows(1))
+	want, err := ref.Refit(RefitFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mustEqualSnapshots(t, s.Snapshot(), want)
+	if rs, ws := s.Refits(), ref.Refits(); rs != ws {
+		t.Fatalf("refit counters %+v, want %+v", rs, ws)
+	}
+	warn := fmt.Sprintf("removed refit policy %q", removed)
+	if n := strings.Count(logs.String(), warn); n != 1 {
+		t.Fatalf("%d log lines name %s, want 1:\n%s", n, warn, logs.String())
+	}
+
+	// The next refit is a dirty one on both sides, extending the
+	// same full anchor.
+	mustIngest(t, ref, batchRows(2))
+	want = mustRefit(t, ref)
+	if s.cfg.FollowerOf != "" {
+		for _, b := range []wal.Batch{
+			{Seq: 5, Rows: batchRows(2)},
+			{Seq: 6, Note: refitNote("", distinctEntities(batchRows(2)))},
+		} {
+			if err := s.ApplyReplicated(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	} else {
+		mustIngest(t, s, batchRows(2))
+		mustRefit(t, s)
+	}
+	if want.Mode != RefitDirty {
+		t.Fatalf("reference refit after the anchor ran %q, want dirty", want.Mode)
+	}
+	mustEqualSnapshots(t, s.Snapshot(), want)
+}
+
+// distinctEntities is the dirty watermark a refit marker right after rows
+// carries.
+func distinctEntities(rows []model.Row) int {
+	seen := map[string]bool{}
+	for _, r := range rows {
+		seen[r.Entity] = true
+	}
+	return len(seen)
 }

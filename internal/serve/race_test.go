@@ -15,8 +15,8 @@ import (
 
 // TestServerConcurrentReadsDuringRefits is the serving layer's core
 // guarantee under stress: with writers continuously POSTing claims and a
-// goroutine forcing refits (exercising both the full Gibbs path and the
-// stream.Online fast paths), concurrent GET /truth readers must never
+// goroutine forcing refits (alternating the full Gibbs path and the dirty
+// fast path), concurrent GET /truth readers must never
 // block on a refit and never observe a torn snapshot — every response's
 // fact count, row count and sequence number must be mutually consistent,
 // and sequence numbers must never go backwards for a reader.
@@ -27,8 +27,8 @@ func TestServerConcurrentReadsDuringRefits(t *testing.T) {
 	c := testCorpus(t, 7)
 	s, err := New(Config{
 		LTM:           core.Config{Iterations: 25, Seed: 1},
-		Policy:        RefitIncremental,
-		FullEvery:     2, // alternate full and incremental under stress
+		Policy:        RefitDirty,
+		FullEvery:     2, // alternate full and dirty under stress
 		RefitInterval: -1,
 	})
 	if err != nil {
@@ -192,7 +192,7 @@ func TestSnapshotSwapInProcess(t *testing.T) {
 	c := testCorpus(t, 8)
 	s, err := New(Config{
 		LTM:           core.Config{Iterations: 20, Seed: 2},
-		Policy:        RefitOnline,
+		Policy:        RefitDirty,
 		FullEvery:     3,
 		RefitInterval: -1,
 	})

@@ -152,7 +152,7 @@ func (s *Server) fitPublish(override RefitPolicy, dr drainResult, sp *obs.Span) 
 // compacted count — is lost across attempts.
 func (s *Server) fitLocked(override RefitPolicy, dr drainResult, sp *obs.Span) (*Snapshot, int, error) {
 	// fresh keeps only the rows the cumulative database had not seen, so
-	// the online fast path never double-counts a retried batch.
+	// the dirty fast path never extends the dataset with a retried batch.
 	var newFresh []model.Row
 	for _, r := range dr.rows {
 		if s.db.AddRow(r) {
@@ -193,18 +193,14 @@ func (s *Server) fitLocked(override RefitPolicy, dr drainResult, sp *obs.Span) (
 	if override != "" {
 		policy = override
 	}
-	// The first refit (no accumulated quality yet), and every FullEvery-th
-	// one under the fast-path policies, re-anchors quality with a full
-	// engine fit.
+	// The first refit (no accumulated quality yet), a refit with no
+	// previous snapshot to extend (recovery without restorable serving
+	// state), and every FullEvery-th dirty refit re-anchor quality with a
+	// full engine fit.
 	done := s.refits.Load()
-	full := policy == RefitFull || s.online == nil || !s.online.HasQuality() ||
-		(s.cfg.FullEvery > 0 && done%int64(s.cfg.FullEvery) == 0)
 	prev := s.snap.Load()
-	if policy == RefitDirty && prev == nil {
-		// No previous snapshot to extend (first refit, or recovery without
-		// restorable serving state).
-		full = true
-	}
+	full := policy == RefitFull || prev == nil || s.online == nil || !s.online.HasQuality() ||
+		(s.cfg.FullEvery > 0 && done%int64(s.cfg.FullEvery) == 0)
 
 	// The drain phase ends here: rows folded, carry merged, policy
 	// chosen. Everything until the snapshot swap is the fit.
@@ -219,55 +215,34 @@ func (s *Server) fitLocked(override RefitPolicy, dr drainResult, sp *obs.Span) (
 		ds            *model.Dataset
 		res           *model.Result
 		quality       []model.SourceQuality
-		mode          RefitPolicy
+		mode          = RefitFull
 		dirtyEntities int
 		records       []integrate.Record
 	)
-	fullFit := func(prepared *model.Dataset) error {
-		ds = prepared
-		if ds == nil {
-			ds = model.BuildRows(s.db.Rows())
-		}
-		if err := s.ensureOnline(ds.NumFacts()); err != nil {
-			return err
-		}
-		fit, err := s.online.Refit(ds)
-		if err != nil {
-			return fmt.Errorf("serve: full refit: %w", err)
-		}
-		res, quality, mode = fit.Result, fit.Quality, RefitFull
-		return nil
-	}
-	switch {
-	case full:
-		if err := fullFit(nil); err != nil {
-			return nil, 0, err
-		}
-	case policy == RefitDirty:
+	if !full {
 		out, err := s.dirtyFit(prev, fresh, dirty)
 		if err != nil {
 			return nil, 0, err
 		}
 		if out.fallback {
-			if err := fullFit(out.fallbackDS); err != nil {
-				return nil, 0, err
-			}
-			break
+			full, ds = true, out.fallbackDS
+		} else {
+			ds, res, quality, records = out.ds, out.res, out.quality, out.records
+			mode, dirtyEntities = RefitDirty, out.dirtyEntities
 		}
-		ds, res, quality, records = out.ds, out.res, out.quality, out.records
-		mode, dirtyEntities = RefitDirty, out.dirtyEntities
-	default:
-		ds = model.BuildRows(s.db.Rows())
-		if policy == RefitOnline && len(fresh) > 0 {
-			if err := s.stepBatch(fresh); err != nil {
-				return nil, 0, err
-			}
+	}
+	if full {
+		if ds == nil {
+			ds = model.BuildRows(s.db.Rows())
 		}
-		var err error
-		if res, err = s.online.Predict(ds); err != nil {
-			return nil, 0, fmt.Errorf("serve: incremental refit: %w", err)
+		if err := s.ensureOnline(ds.NumFacts()); err != nil {
+			return nil, 0, err
 		}
-		quality, mode = s.online.Quality(), policy
+		fit, err := s.online.Refit(ds)
+		if err != nil {
+			return nil, 0, fmt.Errorf("serve: full refit: %w", err)
+		}
+		res, quality = fit.Result, fit.Quality
 	}
 
 	// The fit is done; building the read models, swapping the snapshot
@@ -283,9 +258,9 @@ func (s *Server) fitLocked(override RefitPolicy, dr drainResult, sp *obs.Span) (
 		return nil, 0, fmt.Errorf("serve: building snapshot: %w", err)
 	}
 	snap.DirtyEntities = dirtyEntities
-	// Every policy's published quality is core.QualityFromCounts over the
+	// Both policies publish quality as core.QualityFromCounts over the
 	// online accumulator's state (Refit replaces the counts with the full
-	// fit's expected counts; the fast paths serve the accumulator
+	// fit's expected counts; the dirty path serves the accumulator
 	// directly), so that state is the snapshot's quality basis for the
 	// cluster-level cross-partition merge.
 	if s.online != nil {
@@ -421,22 +396,6 @@ func dirtyContribution(prev *Snapshot, dirty map[string]struct{}) map[string][2]
 	return out
 }
 
-// stepBatch runs §5.4 full incremental learning on just the newly arrived
-// rows: a Gibbs fit of the batch with the accumulated per-source quality
-// priors, folding the batch's expected confusion counts into the
-// accumulator (stream.Online.Step). Called under mu.
-func (s *Server) stepBatch(rows []model.Row) error {
-	batch := model.NewRawDB()
-	for _, r := range rows {
-		batch.AddRow(r)
-	}
-	bds := model.Build(batch)
-	if _, err := s.online.Step(bds); err != nil {
-		return fmt.Errorf("serve: online step: %w", err)
-	}
-	return nil
-}
-
 // ensureOnline lazily creates the §5.4 online state, sizing default priors
 // to the first fitted dataset when the base config leaves them zero.
 // Called under mu.
@@ -452,7 +411,6 @@ func (s *Server) ensureOnline(numFacts int) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	o.SetSharding(s.cfg.Shards, s.cfg.SyncEvery)
 	s.online = o
 	return nil
 }

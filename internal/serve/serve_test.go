@@ -354,81 +354,43 @@ func TestServerRejectsBadIngest(t *testing.T) {
 	resp.Body.Close()
 }
 
-func TestServerIncrementalAndOnlinePolicies(t *testing.T) {
-	for _, policy := range []RefitPolicy{RefitIncremental, RefitOnline} {
-		t.Run(string(policy), func(t *testing.T) {
-			c := testCorpus(t, 2)
-			batches := store.SplitEntities(c.Dataset, 4)
-			s, err := New(testConfig(policy))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-
-			// FullEvery = 3: expected modes per refit are full, policy,
-			// policy, full, ...
-			want := []RefitPolicy{RefitFull, policy, policy, RefitFull}
-			for i, b := range batches {
-				if _, err := s.Ingest(positiveRows(b)); err != nil {
-					t.Fatal(err)
-				}
-				sn, err := s.Refit("")
-				if err != nil {
-					t.Fatalf("refit %d: %v", i, err)
-				}
-				if sn.Mode != want[i] {
-					t.Fatalf("refit %d mode = %s, want %s", i, sn.Mode, want[i])
-				}
-				if sn.Seq != int64(i+1) {
-					t.Fatalf("refit %d seq = %d", i, sn.Seq)
-				}
-				if err := sn.Result.Validate(); err != nil {
-					t.Fatal(err)
-				}
-				if len(sn.Result.Prob) != sn.Dataset.NumFacts() {
-					t.Fatalf("refit %d: %d probs for %d facts", i, len(sn.Result.Prob), sn.Dataset.NumFacts())
-				}
-				if len(sn.Quality) == 0 {
-					t.Fatalf("refit %d: empty quality table", i)
-				}
-			}
-			rs := s.Refits()
-			if rs.Refits != 4 || rs.FullRefits != 2 {
-				t.Fatalf("counters = %+v", rs)
-			}
-		})
-	}
-}
-
+// TestServerPolicyOverride: under the dirty policy the first refit and
+// every FullEvery-th one are full and the rest dirty, and an explicit full
+// override re-anchors mid-stream regardless of the policy.
 func TestServerPolicyOverride(t *testing.T) {
 	c := testCorpus(t, 3)
-	s, err := New(testConfig(RefitIncremental))
+	batches := store.SplitEntities(c.Dataset, 5)
+	s, err := New(testConfig(RefitDirty)) // FullEvery = 3
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Ingest(positiveRows(c.Dataset)); err != nil {
-		t.Fatal(err)
+	steps := []struct{ override, want RefitPolicy }{
+		{"", RefitFull}, {"", RefitDirty}, {RefitFull, RefitFull}, {"", RefitFull}, {"", RefitDirty},
 	}
-	if _, err := s.Refit(""); err != nil {
-		t.Fatal(err)
+	for i, st := range steps {
+		if _, err := s.Ingest(positiveRows(batches[i])); err != nil {
+			t.Fatal(err)
+		}
+		sn, err := s.Refit(st.override)
+		if err != nil {
+			t.Fatalf("refit %d: %v", i+1, err)
+		}
+		if sn.Mode != st.want {
+			t.Fatalf("refit %d (override %q) mode = %s, want %s", i+1, st.override, sn.Mode, st.want)
+		}
 	}
-	// An explicit full override mid-stream re-anchors regardless of policy.
-	sn, err := s.Refit(RefitFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sn.Mode != RefitFull {
-		t.Fatalf("override mode = %s", sn.Mode)
+	if rs := s.Refits(); rs.Refits != 5 || rs.FullRefits != 3 || rs.DirtyRefits != 2 {
+		t.Fatalf("counters = %+v", rs)
 	}
 }
 
 // TestOnlineSkipsDuplicateBatches: a retried POST of an already-compacted
-// batch must not feed the quality accumulator twice — only rows new to the
-// cumulative database count.
+// batch must not feed the online quality accumulator twice — only rows new
+// to the cumulative database count.
 func TestOnlineSkipsDuplicateBatches(t *testing.T) {
 	c := testCorpus(t, 6)
-	s, err := New(testConfig(RefitOnline))
+	s, err := New(testConfig(RefitDirty))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,8 +515,10 @@ func TestIngestAfterCloseFails(t *testing.T) {
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
-	if _, err := New(Config{Policy: "bogus"}); err == nil {
-		t.Fatal("bad policy accepted")
+	for _, p := range []RefitPolicy{"bogus", "incremental", "online"} {
+		if _, err := New(Config{Policy: p}); err == nil {
+			t.Fatalf("policy %q accepted", p)
+		}
 	}
 	if _, err := New(Config{Threshold: 1.5}); err == nil {
 		t.Fatal("bad threshold accepted")
@@ -566,57 +530,3 @@ func TestNewRejectsBadConfig(t *testing.T) {
 
 // urlQuery escapes a query parameter value.
 func urlQuery(s string) string { return url.QueryEscape(s) }
-
-// TestServerShardedRefit: a server with Shards configured must publish,
-// in exact mode (SyncEvery=1), snapshots with the same truth table as an
-// unsharded server fed the same claims, and must reject negative
-// sharding knobs.
-func TestServerShardedRefit(t *testing.T) {
-	rows := positiveRows(testCorpus(t, 8).Dataset)
-
-	snapshotOf := func(cfg Config) *Snapshot {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if _, err := s.Ingest(rows); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := s.Refit("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return snap
-	}
-
-	plain := snapshotOf(testConfig(RefitFull))
-	cfg := testConfig(RefitFull)
-	cfg.Shards, cfg.SyncEvery = 3, 1
-	sharded := snapshotOf(cfg)
-
-	want, got := plain.AllTruth(), sharded.AllTruth()
-	if len(want) != len(got) {
-		t.Fatalf("truth table sizes differ: %d vs %d", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("truth row %d differs: %+v vs %+v", i, want[i], got[i])
-		}
-	}
-
-	// Parallel mode serves a valid snapshot too (tolerance asserted at the
-	// shard layer; here we only require a complete, consistent table).
-	cfg = testConfig(RefitFull)
-	cfg.Shards, cfg.SyncEvery = 3, 5
-	if par := snapshotOf(cfg).AllTruth(); len(par) != len(want) {
-		t.Fatalf("parallel sharded truth table has %d rows, want %d", len(par), len(want))
-	}
-
-	if _, err := New(Config{Shards: -1}); err == nil {
-		t.Fatal("negative Shards accepted")
-	}
-	if _, err := New(Config{SyncEvery: -1}); err == nil {
-		t.Fatal("negative SyncEvery accepted")
-	}
-}

@@ -22,16 +22,6 @@ const (
 	// RefitFull runs the full collapsed Gibbs engine over the cumulative
 	// dataset on every refit — the most accurate and most expensive policy.
 	RefitFull RefitPolicy = "full"
-	// RefitIncremental serves the closed-form LTMinc posterior (Equation 3)
-	// over the cumulative dataset from the accumulated source quality — no
-	// sampling at all — and re-anchors with a full fit every FullEvery
-	// refits (§5.4's "quality remains relatively unchanged" fast path).
-	RefitIncremental RefitPolicy = "incremental"
-	// RefitOnline additionally Gibbs-fits each newly arrived batch with the
-	// accumulated per-source quality priors (stream.Online.Step, §5.4's full
-	// incremental learning) before serving the LTMinc posterior, so source
-	// quality keeps learning from new claims between full refits.
-	RefitOnline RefitPolicy = "online"
 	// RefitDirty re-sweeps only the entities touched since the last refit:
 	// the cumulative dataset is extended in place (store.ExtendDirty), just
 	// the dirty-entity sub-dataset is re-fit against the accumulated
@@ -45,10 +35,27 @@ const (
 // valid reports whether p names a known policy.
 func (p RefitPolicy) valid() bool {
 	switch p {
-	case RefitFull, RefitIncremental, RefitOnline, RefitDirty:
+	case RefitFull, RefitDirty:
 		return true
 	}
 	return false
+}
+
+// removedPolicies names the refit policies earlier versions served. The
+// names can still sit in a data directory (refit markers in the WAL, a
+// checkpoint manifest's Mode) or arrive from an older primary's log.
+var removedPolicies = map[RefitPolicy]bool{"incremental": true, "online": true}
+
+// replayPolicy is the policy a replayed refit marker runs under: the
+// marker's own, except that a removed policy replays as a full refit (with
+// a warn line naming it), which re-anchors the model instead of failing
+// the replay.
+func (s *Server) replayPolicy(marker RefitPolicy, seq uint64) RefitPolicy {
+	if !removedPolicies[marker] {
+		return marker
+	}
+	s.warnf("serve: refit marker seq=%d names removed refit policy %q; replaying it as a full refit", seq, marker)
+	return RefitFull
 }
 
 // Config parameterizes a truth-serving daemon.
@@ -62,8 +69,8 @@ type Config struct {
 	// Policy selects the refit strategy (default RefitFull).
 	Policy RefitPolicy
 	// FullEvery forces a full engine refit every n-th refit under the
-	// incremental, online and dirty policies (default 10; the first refit
-	// is always full). Ignored under RefitFull.
+	// dirty policy (default 10; the first refit is always full). Ignored
+	// under RefitFull.
 	FullEvery int
 	// RefitInterval is the background refit period (default 2s). Zero or
 	// negative disables the timer; refits then only happen via Refit (the
@@ -73,15 +80,6 @@ type Config struct {
 	// refit fires (default 1: any pending claim triggers a refit). Forced
 	// refits ignore it.
 	MinBatch int
-	// Shards, when > 1, runs every full refit through the entity-sharded
-	// fitter (internal/shard): the cumulative dataset is partitioned by
-	// entity and swept concurrently, with per-source counts reconciled
-	// every SyncEvery sweeps. 0 or 1 keeps the single-engine refit.
-	Shards int
-	// SyncEvery is the shard count-reconciliation interval in sweeps:
-	// 1 forces the exact (bit-identical, sequential) barrier mode, 0 the
-	// shard package's default. Ignored unless Shards > 1.
-	SyncEvery int
 	// Durability, when DataDir is set, makes the server crash-safe: every
 	// accepted batch is written ahead to a segmented WAL before it is
 	// acknowledged, every published snapshot is checkpointed, and startup
@@ -214,12 +212,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.FullEvery < 0 {
 		return nil, fmt.Errorf("serve: FullEvery = %d must be non-negative", cfg.FullEvery)
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("serve: Shards = %d must be non-negative", cfg.Shards)
-	}
-	if cfg.SyncEvery < 0 {
-		return nil, fmt.Errorf("serve: SyncEvery = %d must be non-negative", cfg.SyncEvery)
 	}
 	if f := cfg.Durability.Fsync; f != "" && !f.Valid() {
 		return nil, fmt.Errorf("serve: unknown fsync policy %q", f)

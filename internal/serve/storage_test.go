@@ -51,7 +51,7 @@ var fittedAtRe = regexp.MustCompile(`"fitted_at":"[^"]*"`)
 // every refit policy. /stats is compared modulo its timing fields and the
 // storage block, which reports the (deliberately different) residency.
 func TestSegmentBackendBitIdentical(t *testing.T) {
-	for _, policy := range []RefitPolicy{RefitFull, RefitIncremental, RefitOnline, RefitDirty} {
+	for _, policy := range []RefitPolicy{RefitFull, RefitDirty} {
 		t.Run(string(policy), func(t *testing.T) {
 			mem, err := New(testConfig(policy))
 			if err != nil {

@@ -33,8 +33,9 @@
 //     globally bounded log tables) and is the fallback for small data or
 //     reproducibility-sensitive runs; it does not parallelize.
 //
-// The shard layer is consumed by stream.Online.Refit (periodic full
-// retrains of §5.4) and by the serve daemon's full-refit policy, so
-// truthserve refits scale across cores; cmd/truthfind and cmd/experiments
-// expose it via -shards/-sync-every.
+// The shard layer is consumed by the library facade (FitSharded,
+// CompileSharded), by cmd/truthfind and cmd/experiments, which expose it
+// via -shards/-sync-every, and — through MergeCounts, the barrier's sum
+// lifted out of the process — by the cluster router's exact /quality
+// merge. Serving refits run the single engine.
 package shard

@@ -334,15 +334,12 @@ type (
 	TruthRow = serve.TruthRow
 )
 
-// The available refit policies: full engine refit every time, the
-// sampling-free LTMinc fast path with periodic full re-anchoring, §5.4
-// full incremental learning on each arrived batch, or dirty-entity delta
-// refits that re-sweep only the entities the drained batches touched.
+// The available refit policies: a full engine refit every time, or
+// dirty-entity delta refits that re-sweep only the entities the drained
+// batches touched, with periodic full re-anchoring.
 const (
-	RefitFull        = serve.RefitFull
-	RefitIncremental = serve.RefitIncremental
-	RefitOnline      = serve.RefitOnline
-	RefitDirty       = serve.RefitDirty
+	RefitFull  = serve.RefitFull
+	RefitDirty = serve.RefitDirty
 )
 
 // ErrNoServeData is returned by TruthServer.Refit before any claim has
